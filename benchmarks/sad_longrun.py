@@ -6,18 +6,19 @@ GTX480 SM under RegMutex, seed 2018, 8 total CTAs — enough cycles
 sits under a percent.  Reports wall time and cycles/sec, best of
 ``--repeat`` runs, and (unless ``--no-artifact``) writes a schema-1
 perf artifact per engine — ``BENCH_sad_<engine>.json`` — so the
-scan/event/columnar trajectory is committed alongside BENCH_seed.json
-(which stays the orchestrator baseline).
+per-engine trajectory is committed alongside BENCH_seed.json (which
+stays the orchestrator baseline).  ``columnar`` runs the C core when
+``repro._native`` is built and pure Python otherwise.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/sad_longrun.py \
-        [--engine scan|event|columnar] [--repeat 3] [--all-engines] \
+        [--engine scan|columnar] [--repeat 3] [--all-engines] \
         [--artifact-dir DIR] [--no-artifact]
 
 PR 3 measured the scan stepper at 8.883s on its machine; absolute
 seconds are machine-dependent, so compare engines on the *same*
-machine (PROFILING.md records one such 3-way set).
+machine (PROFILING.md records one such set).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ SEED = 2018
 # Discovered from the sm.py engine registry: a new engine gets
 # benchmarked (and picked up by --all-engines) without editing this
 # script.  Ordered slowest-first so --all-engines prints a trajectory.
-_PREFERRED_ORDER = ("scan", "event", "columnar", "native")
+_PREFERRED_ORDER = ("scan", "columnar")
 ENGINES = tuple(
     sorted(
         ISSUE_ENGINE_REGISTRY,
@@ -123,11 +124,11 @@ def write_artifact(artifact: dict, directory: str) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--engine", choices=ENGINES, default="event")
+    parser.add_argument("--engine", choices=ENGINES, default="columnar")
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
         "--all-engines", action="store_true",
-        help="benchmark all three engines back-to-back (same process, "
+        help="benchmark every engine back-to-back (same process, "
              "same machine state) instead of just --engine",
     )
     parser.add_argument(

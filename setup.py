@@ -2,7 +2,7 @@
 package, so editable installs go through ``setup.py develop``.
 
 Also builds the optional ``repro._native`` extension (the C backend
-for ``issue_engine="native"``).  The extension is strictly optional:
+for ``issue_engine="columnar"``).  The extension is strictly optional:
 on a machine without a C compiler the build warns and continues, and
 ``repro.sim.sm`` falls back to the pure-Python columnar stepper with
 identical behaviour.  Build in place for the PYTHONPATH=src layout:

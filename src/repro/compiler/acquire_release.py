@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.compiler.regions import AcquireRegion
+from repro.errors import CompileError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.kernel import Kernel
 
 
-class RegionShapeError(ValueError):
+class RegionShapeError(CompileError):
     """A region could not be normalized (should be unreachable: growth is
     bounded by the kernel length)."""
 

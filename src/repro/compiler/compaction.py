@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.cfg.graph import ControlFlowGraph, build_cfg
+from repro.errors import CompileError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.kernel import Kernel
 from repro.liveness.liveness import analyze_liveness
 
 
-class CompactionError(ValueError):
+class CompactionError(CompileError):
     """Compaction cannot be performed safely for this kernel shape."""
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import CompileError
 from repro.isa.instructions import Opcode
 from repro.isa.kernel import Kernel
 
 
-class RegMutexSafetyError(ValueError):
+class RegMutexSafetyError(CompileError):
     """A compiled kernel can touch extended registers without a section."""
 
 

@@ -10,8 +10,9 @@ boundary (workers ship ``(kind, message)`` tuples back to the
 orchestrator) and shows up attributed in telemetry and the ``repro
 bench`` report.
 
-Every class subclasses :class:`RuntimeError` so pre-taxonomy callers
-(``except RuntimeError``) keep working unchanged.
+Every class except :class:`CompileError` (a :class:`ValueError`, as
+the compiler's errors always were) subclasses :class:`RuntimeError`, so
+pre-taxonomy callers keep working unchanged.
 
 :class:`DeadlockDiagnostic` is the structured snapshot a
 :class:`SimulationDeadlockError` carries: enough per-warp, SRP, and
@@ -149,6 +150,21 @@ class SanitizerError(SimulationError):
     ) -> None:
         super().__init__(message, diagnostic=diagnostic)
         self.violations = violations
+
+
+class CompileError(ValueError):
+    """Base class for compiler-pass failures on a kernel: a region that
+    cannot be normalized, a compaction with no safe slot assignment, or
+    a compiled kernel that fails the RegMutex safety proof.
+
+    Deterministic like a :class:`SimulationError` — the same (kernel,
+    config, technique) job fails the same way every time — so the
+    harness reports it as a typed ``JobFailure`` of kind ``compile``
+    and never retries it.  Subclasses :class:`ValueError` so callers
+    that predate the taxonomy keep working.
+    """
+
+    kind = "compile"
 
 
 class FaultInjectionError(RuntimeError):

@@ -19,8 +19,9 @@ the :class:`ExperimentRunner`:
 
 Failure handling distinguishes three regimes:
 
-* **Deterministic simulator errors** (deadlock, cycle limit, invariant
-  violation, placement — any :class:`SimulationError`): re-running the
+* **Deterministic errors** (deadlock, cycle limit, invariant
+  violation, placement — any :class:`SimulationError` — and compiler
+  pass failures, any :class:`CompileError`): re-running the
   same deterministic job reproduces them bit-for-bit, so they are
   *never* retried.  They surface as a typed :class:`JobFailure` whose
   ``kind`` comes from the exception taxonomy.
@@ -68,6 +69,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import (
     FAILURE_RUNTIME,
+    CompileError,
     FAILURE_TIMEOUT,
     FAILURE_WORKER_CRASH,
     InterruptedRun,
@@ -141,7 +143,7 @@ def _simulate(
             resume_report=resume_report,
         )
         failure = None
-    except SimulationError as exc:
+    except (SimulationError, CompileError) as exc:
         record, failure = None, (exc.kind, str(exc))
     except RuntimeError as exc:
         record, failure = None, (FAILURE_RUNTIME, str(exc))

@@ -148,14 +148,14 @@ def _fsync_dir(path: str) -> None:
 
 
 # Config fields that cannot affect simulated timing: they select
-# between bit-identical implementations (the wake-queue property tests
+# between bit-identical implementations (the engine property tests
 # and the repro.check oracle enforce that identity) or arm pure
 # checkers whose hooks observe without perturbing the schedule.
 # Excluded from fingerprints so flipping them does not orphan cached
 # records — and so adding them did not invalidate every pre-existing
 # key (v6 stays v6).
 _TIMING_NEUTRAL_CONFIG_FIELDS = frozenset({
-    "issue_engine",   # scan / event / columnar: same schedule by contract
+    "issue_engine",   # scan / columnar: same schedule by contract
     "sanitizer",      # observer-only runtime checks (raise, never steer)
     "sanitizer_stride",
 })
@@ -517,14 +517,17 @@ class ExperimentRunner:
         self.cache_misses += 1
 
         gpu = Gpu(config, technique, seed=self.seed)
-        compiled = technique.prepare_kernel(kernel, config)
-        occ = technique.occupancy(compiled, config)
-        resident = max(1, occ.ctas_per_sm)
+        # One compile per job: the grid is sized from the same compiled
+        # kernel and placement the launch then simulates.
+        compiled, occ = gpu._prepare(kernel)
+        resident = occ.ctas_per_sm
         waves = max(2, round(self.target_ctas_per_sm / resident))
         grid = resident * waves * config.num_sms
 
-        result = gpu.launch(
+        result = gpu._launch_compiled(
             kernel,
+            compiled,
+            occ,
             grid,
             scheduler_priority=scheduler_priority,
             checkpoint_dir=checkpoint_dir,

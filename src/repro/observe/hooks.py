@@ -148,10 +148,10 @@ class SmObserver:
         """Install this observer on an SM (idempotent per SM).
 
         Replacing ``sm.technique`` with the observing wrapper is safe
-        under both issue engines: the event-driven stepper reads
-        ``self.technique`` afresh each cycle (it holds no reference to
-        the inner state), and the wrapper forwards ``wakeup_pending``
-        verbatim, so acquire re-arms still reach the wake queues.
+        under both issue engines: the columnar stepper binds
+        ``self.technique`` at the start of each run (attach happens
+        before), and the wrapper forwards ``wakeup_pending`` verbatim,
+        so acquire re-arms still reach the ready lists.
         """
         if sm._observer is not None:
             raise ValueError(f"SM {sm.sm_id} already has an observer")

@@ -68,6 +68,7 @@ class ServiceClient:
 
     # -- plumbing -------------------------------------------------------------
     def connect(self) -> "ServiceClient":
+        sock = None
         try:
             if self._socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -78,6 +79,8 @@ class ServiceClient:
                     (self._host, self._port), timeout=self._connect_timeout
                 )
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ServiceUnavailableError(
                 f"cannot reach the simulation service "
                 f"({self._socket_path or f'{self._host}:{self._port}'}): "

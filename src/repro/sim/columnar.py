@@ -1,13 +1,11 @@
 """Columnar SM core: array-backed hot state behind thin object views.
 
-The scan and event steppers keep the simulation's hot state scattered
+The reference scan stepper keeps the simulation's hot state scattered
 across Python objects — a ``Warp`` per resident warp, dict-of-dicts in
 the ``Scoreboard``, enum-valued attributes read through descriptor
 lookups, and an ``Instruction`` dataclass whose ``op_class``/``latency``
-properties re-hash an enum on every fetch.  Profiling the event engine
-on the SAD long run shows the ceiling is exactly that object model:
-~63 Python calls and several hundred attribute/enum operations per
-simulated cycle, none of them algorithmically necessary.
+properties re-hash an enum on every fetch — and visits every resident
+warp every cycle.  None of that is algorithmically necessary.
 
 This module restructures the per-SM hot state into a **columnar store**:
 
@@ -38,8 +36,7 @@ columns would be ~2.5x *slower* here.  NumPy earns its keep on the bulk
 reads: :meth:`ColumnarCore.snapshot` exports the columns as arrays, and
 the masked invariant sweeps (:meth:`ColumnarCore.check_hygiene`, the
 probes' histogram path) vectorize over them.  NumPy is optional at
-import — the pure-Python fallbacks keep scan/event-only installs
-working.
+import — the pure-Python fallbacks keep numpy-free installs working.
 
 Scoreboard rows never expire (unlike the dict engine's periodic
 ``expire``): a stale entry has ``ready <= cycle`` and every consumer
@@ -48,10 +45,36 @@ That also makes ``has_pending_memory`` O(1): row values only grow, so
 the per-slot ``sb_max`` *is* the maximum pending completion, and
 "any write further than ``horizon`` out" reduces to one comparison.
 
+Issue bookkeeping
+-----------------
+
+Each scheduler's :class:`ColumnarUnit` keeps a **ready list** of warps
+eligible for qualification now (sorted by warp id, so qualification
+walks them in the scan's launch order — technique ``can_issue`` hooks
+have side effects, so order is part of the semantics), a **sleeper
+min-heap** keyed ``(wake_cycle, warp_id)`` for warps inside a self-timed
+stall window (scoreboard hazard, saturated memory window, eager acquire
+backoff), and **blocked counts** for warps parked at a barrier or on a
+failed acquire, re-armed only by the events that can unblock them.  Per
+cycle the cost is proportional to warps that can act, not to residents.
+Every warp carries a ``qstate`` code (``QS_*``) naming the structure
+that owns it, so the re-arm hooks are idempotent.
+
+Stall attribution must match the scan bit for bit, and the scan
+classifies a *sleeping* warp per cycle as memory if it slept on memory
+or its wake cycle is more than ``MEMORY_STALL_HORIZON`` out, scoreboard
+otherwise.  The second disjunct is time-varying, so each unit counts
+memory and non-memory sleepers and keeps ``far``, a min-heap of
+``wake_cycle - HORIZON`` thresholds for non-memory sleepers whose window
+was longer than the horizon at sleep time; pruning it at read time keeps
+``len(far)`` equal to the non-memory sleepers still classified as memory
+stalls.  A sleeping warp never leaves its window early, so sleeper-heap
+entries are exact and need no lazy deletion.
+
 Bit-identity contract: identical cycle counts, identical per-stall
-``SmStats``, identical oracle digests against both retained steppers —
-enforced by the 3-way property tests in ``tests/sim/test_wakequeue.py``
-and the differential oracle.
+``SmStats`` and identical oracle digests against the scan stepper, in
+pure Python and in C — enforced by the property tests in
+``tests/sim/test_wakequeue.py`` and the differential oracle.
 """
 
 from __future__ import annotations
@@ -62,14 +85,6 @@ from repro.isa.instructions import Instruction, OpClass, Opcode
 from repro.isa.kernel import Kernel
 from repro.sim.rand import DeterministicRng
 from repro.sim.scheduler import GtoScheduler, LrrScheduler
-from repro.sim.wakequeue import (
-    MEMORY_STALL_HORIZON,
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_OUT,
-    QS_READY,
-    QS_SLEEPING,
-)
 from repro.sim.warp import Warp, WarpStatus
 
 try:  # Bulk/masked ops only — the hot loop never touches numpy.
@@ -77,7 +92,20 @@ try:  # Bulk/masked ops only — the hot loop never touches numpy.
 except ImportError:  # pragma: no cover - exercised on minimal installs
     _np = None
 
+# Stall-attribution horizon (cycles): a pending completion further out
+# than this is attributed to memory, nearer to the scoreboard.  Shared
+# with the scan stepper's classification — attribution only, never
+# correctness.
+MEMORY_STALL_HORIZON = 20
+
 # -- column encodings ---------------------------------------------------------
+
+# Warp.qstate codes: which issue structure currently owns the warp.
+QS_OUT = 0        # not resident / finished (the scan leaves warps here)
+QS_READY = 1      # in its scheduler's ready list
+QS_SLEEPING = 2   # in the sleeper heap
+QS_BARRIER = 3    # parked at a barrier (blocked count)
+QS_ACQUIRE = 4    # parked on a failed acquire (blocked count)
 
 # Warp status codes (column representation of WarpStatus).
 ST_READY = 0
@@ -313,10 +341,9 @@ class ColumnarWarpView(Warp):
 
 class ColumnarUnit:
     """Per-scheduler ready/sleeper/blocked state over ``(warp_id, slot)``
-    tuples — the columnar twin of
-    :class:`repro.sim.wakequeue.SchedulerWakeQueue`, with the same
-    attribution bookkeeping (class counts + far-threshold heap) but no
-    warp objects on the hot path.
+    tuples, with the attribution bookkeeping (class counts +
+    far-threshold heap) described in the module docstring and no warp
+    objects on the hot path.
 
     ``kind`` encodes the scheduler pick fast path: 0 = GTO with the
     default priority (greedy id match, else lowest id), 1 = LRR (first
@@ -547,7 +574,13 @@ class ColumnarCore:
 
     # -- event hooks (cold paths; the stepper inlines the hot ones) -------------
     def on_finish(self, warp_id: int, slot: int) -> None:
-        """Mirror of ``SchedulerWakeQueue.on_finish`` over tuples."""
+        """The warp finished: release whichever structure owns it.
+
+        On the issue path the warp is always ``QS_READY`` (EXIT only
+        issues from the ready list), but the technique layer can finish
+        a *parked* warp — the acquire-wakeup handoff in
+        ``RegMutexSmState.on_warp_finish`` — so the blocked counts are
+        released here too."""
         unit = self.units[warp_id % self.num_schedulers]
         qs = self.qstate[slot]
         if qs == QS_READY:
@@ -689,8 +722,9 @@ class ColumnarCore:
     def check_hygiene(self) -> None:
         """Structural + mask invariants, for tests and the sanitizer.
 
-        Per unit this mirrors ``SchedulerWakeQueue.check_hygiene``; on
-        top, the column-level invariants are checked as masked array
+        Per unit: the sleeper heap matches its class counts, blocked
+        counts are non-negative, and the ready list is id-sorted with
+        every entry ready.  On top, the column-level invariants are checked as masked array
         ops when numpy is available (pure-Python equivalent otherwise):
         every active slot's codes must be in range, a finished warp must
         be out of every queue structure, and the qstate histogram must
@@ -893,8 +927,3 @@ class ColumnarScoreboard:
         if slot is None:
             return False
         return core.sb_max[slot] - cycle > horizon
-
-
-# Re-exported so the stepper and tests share one constant with the
-# event engine's attribution logic.
-HORIZON = MEMORY_STALL_HORIZON

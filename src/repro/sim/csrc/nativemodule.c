@@ -33,7 +33,7 @@
 #include <string.h>
 #include <limits.h>
 
-/* Column encodings — mirrored from repro.sim.columnar / wakequeue.
+/* Column encodings — mirrored from repro.sim.columnar.
  * sm.py cross-checks every one of these against the Python constants
  * at import time and refuses to use the extension on drift. */
 #define ST_READY 0
@@ -1005,22 +1005,22 @@ runstate_setup(RunState *S, PyObject *sm, PyObject *sink,
         if (!S->status_ready || !S->status_waiting_acquire)
             return -1;
     }
-    /* Timing constants, fetched from sm.py / wakequeue so they can
+    /* Timing constants, fetched from sm.py / columnar.py so they can
      * never drift from the pure stepper. */
     {
         PyObject *sm_mod = PyImport_ImportModule("repro.sim.sm");
         if (sm_mod == NULL)
             return -1;
-        PyObject *wq_mod = PyImport_ImportModule("repro.sim.wakequeue");
-        if (wq_mod == NULL) {
+        PyObject *col_mod = PyImport_ImportModule("repro.sim.columnar");
+        if (col_mod == NULL) {
             Py_DECREF(sm_mod);
             return -1;
         }
         PyObject *a = PyObject_GetAttrString(sm_mod, "_EXPIRE_PERIOD");
         PyObject *b = PyObject_GetAttrString(sm_mod, "_EAGER_RETRY_BACKOFF");
-        PyObject *c = PyObject_GetAttrString(wq_mod, "MEMORY_STALL_HORIZON");
+        PyObject *c = PyObject_GetAttrString(col_mod, "MEMORY_STALL_HORIZON");
         Py_DECREF(sm_mod);
-        Py_DECREF(wq_mod);
+        Py_DECREF(col_mod);
         if (!a || !b || !c) {
             Py_XDECREF(a); Py_XDECREF(b); Py_XDECREF(c);
             return -1;
@@ -1239,7 +1239,7 @@ do_cycle(RunState *S, long cycle, long *issued_out)
             if (r < 0)
                 return -1;
         }
-        /* Blocked counts captured before qualification (event-stepper
+        /* Blocked counts captured before qualification (scan
          * semantics: a warp parking this pass counts from next cycle). */
         long barrier_count = get_long_attr(u->unit, S_barrier_count, &err);
         if (err)
@@ -2278,7 +2278,7 @@ static PyMethodDef native_methods[] = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native",
-    "C backend for the columnar issue engine (issue_engine=\"native\").",
+    "C backend for the columnar issue engine (issue_engine=\"columnar\").",
     -1,
     native_methods,
     NULL, NULL, NULL, NULL,
@@ -2412,7 +2412,7 @@ PyInit__native(void)
     EXPORT(K_EXIT) EXPORT(K_JMP) EXPORT(K_BRA) EXPORT(K_BARRIER)
     EXPORT(K_ACQUIRE) EXPORT(K_RELEASE)
 #undef EXPORT
-    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 1) < 0) {
+    if (PyModule_AddIntConstant(m, "NATIVE_ABI", 2) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
+from repro.arch.occupancy import OccupancyResult
 from repro.errors import CheckpointError, KernelPlacementError
 from repro.isa.kernel import Kernel
 from repro.sim.rand import DeterministicRng
@@ -79,6 +80,23 @@ class Gpu:
         """
         if grid_ctas <= 0:
             raise ValueError("grid must contain at least one CTA")
+        compiled, occ = self._prepare(kernel)
+        return self._launch_compiled(
+            kernel, compiled, occ, grid_ctas,
+            scheduler_priority=scheduler_priority,
+            max_cycles=max_cycles,
+            observer_factory=observer_factory,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_interval=checkpoint_interval,
+            resume_report=resume_report,
+        )
+
+    def _prepare(self, kernel: Kernel) -> tuple[Kernel, OccupancyResult]:
+        """Compile ``kernel`` for the installed technique and place it.
+
+        Raises :class:`KernelPlacementError` when not even one CTA of
+        the compiled kernel fits on an SM.
+        """
         compiled = self.technique.prepare_kernel(kernel, self.config)
         occ = self.technique.occupancy(compiled, self.config)
         if occ.ctas_per_sm <= 0:
@@ -86,7 +104,24 @@ class Gpu:
                 f"kernel {kernel.name!r} does not fit on {self.config.name}: "
                 f"limited by {occ.limiting_resource}"
             )
+        return compiled, occ
 
+    def _launch_compiled(
+        self,
+        kernel: Kernel,
+        compiled: Kernel,
+        occ: OccupancyResult,
+        grid_ctas: int,
+        scheduler_priority=None,
+        max_cycles: int = 50_000_000,
+        observer_factory=None,
+        checkpoint_dir: str | None = None,
+        checkpoint_interval: int = 0,
+        resume_report: dict | None = None,
+    ) -> LaunchResult:
+        """:meth:`launch` from an already compiled and placed kernel
+        (``_prepare``'s result), so a caller that sized the grid from
+        that compile does not compile twice."""
         num_sms = self.config.num_sms
         base, extra = divmod(grid_ctas, num_sms)
         per_sm_counts = [base + (1 if i < extra else 0) for i in range(num_sms)]

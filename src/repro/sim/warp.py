@@ -106,8 +106,8 @@ class Warp:
         # cycle (its blocking scoreboard entries cannot change while it
         # is stalled, because only the warp's own issues add entries).
         self.wake_cycle = 0
-        # Which event-engine structure owns the warp (QS_* constants in
-        # repro.sim.wakequeue) — makes unblock hooks idempotent.  Stays
+        # Which columnar issue structure owns the warp (QS_* constants in
+        # repro.sim.columnar) — makes unblock hooks idempotent.  Stays
         # 0 (QS_OUT) under the scan stepper.
         self.qstate = 0
 

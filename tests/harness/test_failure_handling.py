@@ -48,6 +48,22 @@ class TestFailurePropagation:
         assert isinstance(outcomes[bad], JobFailure)
         assert isinstance(outcomes[good], RunRecord)
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_compile_failure_becomes_typed_job_failure(self, workers):
+        """SAD on the 8K test SM: baseline, OWF and RFV do not fit, and
+        RegMutex's compaction finds no safe slot assignment.  Every job
+        still gets a typed outcome, inline and pooled — the compiler
+        error does not escape and sink the batch."""
+        kinds = ("baseline", "regmutex", "regmutex-paired", "owf", "rfv")
+        jobs = [_job(TechniqueSpec(kind), app="SAD") for kind in kinds]
+        outcomes = _orchestrator(workers=workers).run_jobs(jobs)
+        assert all(isinstance(o, JobFailure) for o in outcomes.values())
+        assert {job.technique.kind: outcomes[job].kind for job in jobs} == {
+            "baseline": "placement", "owf": "placement", "rfv": "placement",
+            "regmutex": "compile", "regmutex-paired": "compile",
+        }
+        assert all(o.attempts == 1 for o in outcomes.values())
+
     def test_failure_kind_reaches_telemetry(self):
         job = _job(TechniqueSpec.of("baseline"), config=UNPLACEABLE_CFG)
         orch = _orchestrator(workers=1)

@@ -44,6 +44,22 @@ class TestExperimentRunner:
         assert record.cycles_per_cta > 0
         assert record.ctas_total % cfg.num_sms == 0
 
+    def test_each_run_compiles_once(self, cfg, monkeypatch):
+        """The grid is sized from the same compile the launch simulates."""
+        calls = []
+        prepare = BaselineTechnique.prepare_kernel
+
+        def counting_prepare(self, kernel, config):
+            calls.append(kernel.name)
+            return prepare(self, kernel, config)
+
+        monkeypatch.setattr(BaselineTechnique, "prepare_kernel",
+                            counting_prepare)
+        ExperimentRunner(target_ctas_per_sm=4).run(
+            straightline_kernel(), cfg, BaselineTechnique()
+        )
+        assert len(calls) == 1
+
     def test_whole_waves(self, cfg):
         """Grid is a whole multiple of residency per SM — no tails."""
         runner = ExperimentRunner(target_ctas_per_sm=6)
@@ -170,41 +186,28 @@ class TestCacheKeyHygiene:
         base_key = runner.key_for(kernel, cfg, BaselineTechnique())
         for overrides in (
             {"issue_engine": "scan"},
-            {"issue_engine": "event"},
             {"issue_engine": "columnar"},
-            {"issue_engine": "native"},
             {"sanitizer": True},
             {"sanitizer_stride": 64},
-            {"issue_engine": "columnar", "sanitizer": True,
+            {"issue_engine": "scan", "sanitizer": True,
              "sanitizer_stride": 7},
-            {"issue_engine": "native", "sanitizer": True,
+            {"issue_engine": "columnar", "sanitizer": True,
              "sanitizer_stride": 7},
         ):
             flipped = dataclasses.replace(cfg, **overrides)
             assert runner.key_for(kernel, flipped, BaselineTechnique()) == \
                 base_key, overrides
 
-    def test_columnar_run_hits_event_runs_cache(self, cfg):
+    def test_columnar_run_hits_scan_runs_cache(self, cfg):
+        """Both engines land on the same v6 entry — whichever backend
+        (C or pure Python) runs the columnar engine, it is a
+        timing-neutral implementation, not a different experiment."""
         import dataclasses
         runner = ExperimentRunner(target_ctas_per_sm=4)
         kernel = straightline_kernel()
-        runner.run(kernel, dataclasses.replace(cfg, issue_engine="event"),
+        runner.run(kernel, dataclasses.replace(cfg, issue_engine="scan"),
                    BaselineTechnique())
         runner.run(kernel, dataclasses.replace(cfg, issue_engine="columnar"),
-                   BaselineTechnique())
-        assert runner.cache_misses == 1
-        assert runner.cache_hits == 1
-
-    def test_native_run_hits_event_runs_cache(self, cfg):
-        """issue_engine="native" lands on the same v6 entry an event run
-        populated — the C extension is a timing-neutral accelerator, not
-        a different experiment."""
-        import dataclasses
-        runner = ExperimentRunner(target_ctas_per_sm=4)
-        kernel = straightline_kernel()
-        runner.run(kernel, dataclasses.replace(cfg, issue_engine="event"),
-                   BaselineTechnique())
-        runner.run(kernel, dataclasses.replace(cfg, issue_engine="native"),
                    BaselineTechnique())
         assert runner.cache_misses == 1
         assert runner.cache_hits == 1

@@ -66,6 +66,15 @@ class TestEventEmission:
         assert len(acquires) == len(releases) == 2
         assert all(0 <= e.value < 2 for e in acquires)  # section index
 
+    def test_holds_serialized_under_one_section(self, run_sm,
+                                                regmutex_kernel):
+        """With a single section the two warps' hold intervals must not
+        overlap — the mutual-exclusion property, observed end to end."""
+        obs, _, _ = run_sm(regmutex_kernel(), sections=1)
+        (a_start, a_end), = obs.log.hold_intervals(0)
+        (b_start, b_end), = obs.log.hold_intervals(1)
+        assert a_end <= b_start or b_end <= a_start
+
     def test_events_cycle_ordered(self, run_sm, regmutex_kernel):
         obs, _, _ = run_sm(regmutex_kernel(), sections=1, total_ctas=2)
         cycles = [e.cycle for e in obs.log]

@@ -9,9 +9,11 @@ stays free to answer them.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import time
+import warnings
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.harness.runner import RunRecord
+from repro.harness.spec import TechniqueSpec
 from repro.observe import JOB_DONE, JOB_QUEUED, JOB_RUNNING, job_trace_events
 from repro.service import (
     PROTOCOL_VERSION,
@@ -214,6 +217,42 @@ class TestConcurrentClients:
             assert by_label(first) == by_label(second)
 
         drive(svc_config(tmp_path), body, servers=True)
+
+
+class TestCompileFailure:
+    def test_compile_error_reaches_the_client_as_failed_frame(self, tmp_path):
+        """A job whose compile fails (SAD under RegMutex on the 8K test
+        SM) ends in a terminal ``failed`` frame of kind ``compile``."""
+        job = make_job(app="SAD", technique=TechniqueSpec("regmutex"))
+
+        async def body(service):
+            def submit():
+                with ServiceClient(socket_path=service.config.socket_path,
+                                   io_timeout=120.0) as client:
+                    return client.submit(jobs=[job])
+
+            result = await asyncio.to_thread(submit)
+            (final,) = result.final.values()
+            assert final["status"] == FAILED
+            assert final["failure"]["kind"] == "compile"
+            assert final["failure"]["attempts"] == 1
+
+        drive(svc_config(tmp_path), body, servers=True)
+
+
+class TestClientConnect:
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        """Connecting to a missing socket path raises the typed error and
+        leaks no socket: nothing is left for the garbage collector to
+        report as an unclosed-socket ResourceWarning."""
+        client = ServiceClient(socket_path=str(tmp_path / "absent.sock"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServiceUnavailableError, match="cannot reach"):
+                client.connect()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
 class TestWireRejections:

@@ -4,8 +4,10 @@ The checkpoint contract mirrors the issue-engine contract in
 ``test_wakequeue``: resuming a freshly constructed SM from any
 checkpoint emitted by ``run()`` must produce the *bit-identical* tail —
 same final cycle and same ``SmStats`` down to each stall counter — as
-the uninterrupted run, on all three issue engines, for any technique
-and scheduler policy.
+the uninterrupted run, on both issue engines and both backends of the
+columnar one, for any technique and scheduler policy.  A columnar
+checkpoint written by the C core also resumes under pure Python, and
+vice versa.
 
 Checkpoints here always come from ``run(checkpoint_interval=...,
 checkpoint_sink=...)`` — the product path — never from stepping an SM
@@ -22,11 +24,13 @@ files each raise their own typed error, and none of them is a
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
 import pytest
 
+import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.errors import (
     CheckpointCorruptError,
@@ -45,13 +49,19 @@ from repro.sim.checkpoint import (
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
-from tests.sim.test_wakequeue import _acquire_kernel, _random_kernel
+from tests.sim.test_wakequeue import (
+    _acquire_kernel,
+    _random_kernel,
+    pure_python,
+)
 
-ENGINES = ("scan", "event", "columnar", "native")
+# "columnar" is the columnar engine with the C extension hidden (its
+# pure-Python stepper); "native" is the same engine on the C core, which
+# equals "columnar" when the extension is not built.
+ENGINES = ("scan", "columnar", "native")
 
 # One representative scheduler per technique keeps the matrix affordable;
-# the /tmp-era exhaustive sweep (4 engines x 2 schedulers x 5 techniques)
-# passed and the cross products not pinned here add no new code paths.
+# the cross products not pinned here add no new code paths.
 TECHNIQUE_SCHED = (
     ("baseline", "gto"),
     ("regmutex", "lrr"),
@@ -63,7 +73,11 @@ TECHNIQUE_SCHED = (
 
 def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6):
     """A fresh SM exactly as ``Gpu.launch`` would build it."""
-    config = fermi_like(num_sms=1, issue_engine=engine, scheduler_policy=sched)
+    pure = engine == "columnar"
+    config = fermi_like(
+        num_sms=1, issue_engine="scan" if engine == "scan" else "columnar",
+        scheduler_policy=sched,
+    )
     factory, prio_hook = _TECHNIQUES[technique_kind]
     technique = factory()
     try:
@@ -74,12 +88,13 @@ def _make_sm(kernel, technique_kind, engine, sched, seed=7, total=6):
     stats = SmStats()
     state = technique.make_sm_state(compiled, config, stats)
     prio = prio_hook if (prio_hook and sched == "gto") else None
-    return StreamingMultiprocessor(
-        sm_id=0, config=config, kernel=compiled, technique_state=state,
-        ctas_resident_limit=occ.ctas_per_sm, total_ctas=total,
-        rng=DeterministicRng(seed * 1_000_003 + total),
-        scheduler_priority=prio, stats=stats,
-    )
+    with pure_python() if pure else contextlib.nullcontext():
+        return StreamingMultiprocessor(
+            sm_id=0, config=config, kernel=compiled, technique_state=state,
+            ctas_resident_limit=occ.ctas_per_sm, total_ctas=total,
+            rng=DeterministicRng(seed * 1_000_003 + total),
+            scheduler_priority=prio, stats=stats,
+        )
 
 
 def _outcome(sm):
@@ -107,7 +122,8 @@ def _checkpointed_run(kernel, technique_kind, engine, sched):
     return _outcome(ref), checkpoints
 
 
-def _assert_resumes(kernel, technique_kind, engine, sched):
+def _assert_resumes(kernel, technique_kind, engine, sched,
+                    resume_engine=None):
     ref_out, checkpoints = _checkpointed_run(
         kernel, technique_kind, engine, sched
     )
@@ -118,7 +134,9 @@ def _assert_resumes(kernel, technique_kind, engine, sched):
         # Round-trip through JSON text: proves the payload is pure data,
         # exactly what a checkpoint file on disk would hand back.
         payload = json.loads(json.dumps(payload))
-        resumed = _make_sm(kernel, technique_kind, engine, sched)
+        resumed = _make_sm(
+            kernel, technique_kind, resume_engine or engine, sched
+        )
         resumed.restore_checkpoint(payload)
         assert resumed.cycle == payload["cycle"]
         resumed.run()
@@ -152,6 +170,32 @@ class TestRoundTrip:
                         engine, sched)
 
 
+@pytest.mark.skipif(sm_mod._native is None,
+                    reason="repro._native extension not built")
+class TestCrossBackend:
+    """The C core and the pure-Python stepper share one state layout and
+    stamp the same engine name, so either resumes the other's
+    checkpoints bit-identically."""
+
+    @pytest.mark.parametrize(
+        "writer,reader",
+        (("native", "columnar"), ("columnar", "native")),
+    )
+    @pytest.mark.parametrize("technique_kind,sched", TECHNIQUE_SCHED)
+    def test_resume_across_backends(self, writer, reader, technique_kind,
+                                    sched):
+        _assert_resumes(_random_kernel(3), technique_kind, writer, sched,
+                        resume_engine=reader)
+
+    @pytest.mark.parametrize(
+        "writer,reader",
+        (("native", "columnar"), ("columnar", "native")),
+    )
+    def test_srp_state_resumes_across_backends(self, writer, reader):
+        _assert_resumes(_acquire_kernel(), "regmutex", writer, "gto",
+                        resume_engine=reader)
+
+
 @pytest.fixture(scope="module")
 def scan_checkpoint():
     """One real checkpoint payload (scan engine, baseline, GTO)."""
@@ -171,7 +215,7 @@ class TestFailureTaxonomy:
         assert ei.value.kind == "checkpoint-schema"
 
     def test_engine_mismatch_is_typed_error(self, scan_checkpoint):
-        sm = _make_sm(_random_kernel(3), "baseline", "event", "gto")
+        sm = _make_sm(_random_kernel(3), "baseline", "columnar", "gto")
         with pytest.raises(CheckpointEngineMismatchError) as ei:
             sm.restore_checkpoint(json.loads(json.dumps(scan_checkpoint)))
         assert ei.value.kind == "checkpoint-engine-mismatch"

@@ -1,40 +1,50 @@
-"""Issue-engine identity: scan oracle vs event vs columnar vs native.
+"""Issue-engine identity: the scan oracle vs the columnar engine.
 
-Every issue engine's contract is *bit-identity* with the retained naive
-reference stepper: same final cycle count and same ``SmStats`` down to
-each stall counter, for any kernel, technique, scheduler policy, and
-issue width.  The property test here throws randomized generator
-kernels at that 4-way contract; the staleness tests pin the transition
-paths where an event could plausibly be lost (a CTA retiring while
-other warps sleep, an acquire wakeup handed off past a finished warp);
-the column-view tests cover the columnar store's own hazards — slot
+The columnar engine's contract is *bit-identity* with the retained
+naive reference stepper: same final cycle count and same ``SmStats``
+down to each stall counter, for any kernel, technique, scheduler
+policy, and issue width — in pure Python and in C alike.  The property
+test here throws randomized generator kernels at that contract, running
+the columnar engine twice: as configured (the C core when
+``repro._native`` is built) and with the extension hidden
+(:func:`pure_python`).  The staleness tests pin the transition paths
+where an event could plausibly be lost (a CTA retiring while other
+warps sleep, an acquire wakeup handed off past a finished warp); the
+column-view tests cover the columnar store's own hazards — slot
 recycling after CTA retirement and the qstate/status mask invariants.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
+import types
+from unittest import mock
 
 import pytest
 
+import repro.sim.columnar as columnar_mod
+import repro.sim.sm as sm_mod
 from repro.arch.config import fermi_like
 from repro.isa.builder import KernelBuilder
 from repro.regmutex.issue_logic import RegMutexSmState
+from repro.sim.columnar import QS_ACQUIRE, QS_OUT, QS_READY
 from repro.sim.rand import DeterministicRng
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import SmStats
 from repro.sim.technique import SmTechniqueState
-from repro.sim.wakequeue import (
-    QS_ACQUIRE,
-    QS_BARRIER,
-    QS_OUT,
-    QS_READY,
-    QS_SLEEPING,
-    SchedulerWakeQueue,
-)
-from repro.sim.warp import Warp, WarpStatus
+from repro.sim.warp import WarpStatus
 from tests.conftest import straightline_kernel
+
+
+@contextlib.contextmanager
+def pure_python():
+    """Construct SMs as if the C extension were absent: the columnar
+    engine then runs its pure-Python stepper (warning suppressed)."""
+    with mock.patch.object(sm_mod, "_native", None), \
+            mock.patch.object(sm_mod, "_NATIVE_FALLBACK_WARNED", True):
+        yield
 
 
 def _config(**overrides):
@@ -144,19 +154,6 @@ def _outcome(sm):
     return (sm.cycle, dataclasses.asdict(sm.stats))
 
 
-def _assert_engine_drained(sm):
-    """Post-run hygiene: every engine structure must be empty — a leaked
-    entry means a transition was lost somewhere."""
-    engine = sm._engine
-    assert engine is not None
-    engine.check_hygiene()
-    for unit in engine.units:
-        assert unit.ready == []
-        assert unit.sleepers == []
-        assert unit.barrier_count == 0
-        assert unit.acquire_count == 0
-
-
 def _assert_columnar_drained(sm):
     """Post-run hygiene for the columnar core: structures empty, every
     slot released (wid -1, qstate OUT) — a stale entry means a slot
@@ -175,31 +172,28 @@ def _assert_columnar_drained(sm):
 
 
 def _all_engines(kernel, config, state_factory, ctas_resident, total_ctas):
-    """Outcomes for (event, scan, columnar, native), hygiene-checked.
+    """Outcomes for (scan, columnar, pure-Python columnar), the columnar
+    runs hygiene-checked.
 
-    ``native`` runs over the same ColumnarCore (falling back to the
-    pure stepper when the extension is not built), so the columnar
-    drain hygiene applies to it verbatim."""
-    event = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="event"),
-        state_factory, ctas_resident, total_ctas,
-    )
+    Without the extension both columnar runs take the pure stepper; with
+    it, the first runs the C core over the same ColumnarCore, so the
+    drain hygiene applies to both verbatim."""
     scan = _run_sm(
         kernel, dataclasses.replace(config, issue_engine="scan"),
         state_factory, ctas_resident, total_ctas,
     )
+    columnar_config = dataclasses.replace(config, issue_engine="columnar")
     columnar = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="columnar"),
-        state_factory, ctas_resident, total_ctas,
+        kernel, columnar_config, state_factory, ctas_resident, total_ctas,
     )
-    native = _run_sm(
-        kernel, dataclasses.replace(config, issue_engine="native"),
-        state_factory, ctas_resident, total_ctas,
-    )
-    _assert_engine_drained(event)
+    with pure_python():
+        pure = _run_sm(
+            kernel, columnar_config, state_factory, ctas_resident, total_ctas,
+        )
+    assert not pure._use_native
     _assert_columnar_drained(columnar)
-    _assert_columnar_drained(native)
-    return _outcome(event), _outcome(scan), _outcome(columnar), _outcome(native)
+    _assert_columnar_drained(pure)
+    return _outcome(scan), _outcome(columnar), _outcome(pure)
 
 
 class TestEngineIdentityProperty:
@@ -208,19 +202,19 @@ class TestEngineIdentityProperty:
     def test_random_kernels_identical(self, seed, policy):
         kernel = _random_kernel(seed)
         config = _config(scheduler_policy=policy)
-        event, scan, columnar, native = _all_engines(
+        scan, columnar, pure = _all_engines(
             kernel, config, SmTechniqueState, ctas_resident=2, total_ctas=5
         )
-        assert event == scan == columnar == native
+        assert scan == columnar == pure
 
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_issue_width_identical(self, seed):
         kernel = _random_kernel(seed + 100)
         config = _config(issue_width_per_scheduler=2)
-        event, scan, columnar, native = _all_engines(
+        scan, columnar, pure = _all_engines(
             kernel, config, SmTechniqueState, ctas_resident=2, total_ctas=4
         )
-        assert event == scan == columnar == native
+        assert scan == columnar == pure
 
     @pytest.mark.parametrize("retry_policy", ["wakeup", "eager"])
     def test_contended_acquire_identical(self, retry_policy):
@@ -233,11 +227,11 @@ class TestEngineIdentityProperty:
                 k, c, s, num_sections=1, retry_policy=retry_policy
             )
 
-        event, scan, columnar, native = _all_engines(
+        scan, columnar, pure = _all_engines(
             kernel, _config(), make_state, ctas_resident=3, total_ctas=6
         )
-        assert event == scan == columnar == native
-        assert event[1]["acquire_attempts"] > event[1]["acquire_successes"]
+        assert scan == columnar == pure
+        assert scan[1]["acquire_attempts"] > scan[1]["acquire_successes"]
 
     def test_lrr_contended_acquire_identical(self):
         kernel = _acquire_kernel()
@@ -245,39 +239,39 @@ class TestEngineIdentityProperty:
         def make_state(k, c, s):
             return RegMutexSmState(k, c, s, num_sections=1)
 
-        event, scan, columnar, native = _all_engines(
+        scan, columnar, pure = _all_engines(
             kernel, _config(scheduler_policy="lrr"), make_state,
             ctas_resident=3, total_ctas=5,
         )
-        assert event == scan == columnar == native
+        assert scan == columnar == pure
 
 
 class TestNativeFallback:
     def test_missing_extension_warns_once_and_matches_columnar(
         self, monkeypatch
     ):
-        """No C extension → issue_engine="native" must still run (pure
-        columnar stepper), warn exactly once per process, and produce
-        the identical outcome."""
+        """No C extension → issue_engine="columnar" must still run (pure
+        stepper), warn exactly once per process, and produce the
+        outcome of the engine as built (the C core, when present)."""
         import warnings
 
-        import repro.sim.sm as sm_mod
+        kernel = _random_kernel(5)
+        config = _config(issue_engine="columnar")
+        built = _run_sm(
+            kernel, config, SmTechniqueState, ctas_resident=2, total_ctas=4,
+        )
 
         monkeypatch.setattr(sm_mod, "_native", None)
         monkeypatch.setattr(sm_mod, "_NATIVE_FALLBACK_WARNED", False)
-
-        kernel = _random_kernel(5)
-        config = _config()
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            native = _run_sm(
-                kernel, dataclasses.replace(config, issue_engine="native"),
-                SmTechniqueState, ctas_resident=2, total_ctas=4,
+            first = _run_sm(
+                kernel, config, SmTechniqueState,
+                ctas_resident=2, total_ctas=4,
             )
             again = _run_sm(
-                kernel, dataclasses.replace(config, issue_engine="native"),
-                SmTechniqueState, ctas_resident=2, total_ctas=4,
+                kernel, config, SmTechniqueState,
+                ctas_resident=2, total_ctas=4,
             )
         fallback = [
             w for w in caught
@@ -285,14 +279,26 @@ class TestNativeFallback:
             and "falling back" in str(w.message)
         ]
         assert len(fallback) == 1, "fallback must warn exactly once"
-        assert not native._use_native
-        assert _outcome(native) == _outcome(again)
+        assert not first._use_native
+        assert _outcome(first) == _outcome(again) == _outcome(built)
 
-        columnar = _run_sm(
-            kernel, dataclasses.replace(config, issue_engine="columnar"),
-            SmTechniqueState, ctas_resident=2, total_ctas=4,
+    def test_stale_build_is_refused(self):
+        """The import-time guard accepts only a build of this ABI whose
+        column encodings all match the Python constants."""
+        good = types.SimpleNamespace(
+            NATIVE_ABI=sm_mod.NATIVE_ABI,
+            **{
+                name: getattr(columnar_mod, name)
+                for name in sm_mod._NATIVE_CONST_NAMES
+            },
         )
-        assert _outcome(native) == _outcome(columnar)
+        assert sm_mod._native_compatible(good)
+        stale = types.SimpleNamespace(**vars(good))
+        stale.NATIVE_ABI = sm_mod.NATIVE_ABI - 1
+        assert not sm_mod._native_compatible(stale)
+        drifted = types.SimpleNamespace(**vars(good))
+        drifted.QS_ACQUIRE += 1
+        assert not sm_mod._native_compatible(drifted)
 
 
 class TestStalenessPaths:
@@ -309,17 +315,17 @@ class TestStalenessPaths:
         b.exit()
         kernel = b.build()
         config = _config(l1_hit_rate=0.0, dram_latency=200)
-        event, scan, columnar, native = _all_engines(
+        scan, columnar, pure = _all_engines(
             kernel, config, SmTechniqueState, ctas_resident=3, total_ctas=7
         )
-        assert event == scan == columnar == native
+        assert scan == columnar == pure
 
     def test_acquire_wakeup_handoff(self):
         """A warp that finishes while holding an unconsumed wakeup must
         hand it to the next waiter, and the engine must re-arm that
         waiter (not the finished warp)."""
         kernel = _acquire_kernel()
-        config = _config(issue_engine="event")
+        config = _config(issue_engine="columnar")
         stats = SmStats()
         state = RegMutexSmState(kernel, config, stats, num_sections=1)
         sm = StreamingMultiprocessor(
@@ -329,21 +335,26 @@ class TestStalenessPaths:
         )
         warps = [cta.warps[0] for cta in sm.resident_ctas]
         holder, first, second = warps
-        engine = sm._engine
+        core = sm._columnar
+
+        def unit_of(warp):
+            return core.units[warp.warp_id % core.num_schedulers]
 
         # Manufacture the interleaving the property test cannot force:
-        # holder owns the section; first and second park behind it.
+        # holder owns the section; first and second park behind it,
+        # routed out of the ready list as the stepper's dispose does.
         assert state.try_acquire(holder, cycle=1)
         for waiter in first, second:
             assert not state.try_acquire(waiter, cycle=1)
-            engine.unit_for(waiter).ready.remove(waiter)
-            engine.unit_for(waiter).park_acquire(waiter)
+            unit_of(waiter).ready.remove((waiter.warp_id, waiter.slot))
+            waiter.qstate = QS_ACQUIRE
+            unit_of(waiter).acquire_count += 1
 
         # The release grants `first` a pending wakeup... which it never
         # consumes: it is killed before the next cycle's drain.
         state.release(holder, cycle=2)
         first.finish()
-        engine.on_finish(first)
+        core.on_finish(first.warp_id, first.slot)
         state.on_warp_finish(first, cycle=2)
 
         # The drain must wake `second` (the handoff target), and the
@@ -353,80 +364,12 @@ class TestStalenessPaths:
         for warp in woken:
             if warp.status is WarpStatus.WAITING_ACQUIRE:
                 warp.status = WarpStatus.READY
-                engine.on_acquire_wake(warp)
+                core.on_acquire_wake(warp.warp_id, warp.slot)
         assert second.qstate == QS_READY
-        assert second in engine.unit_for(second).ready
+        assert (second.warp_id, second.slot) in unit_of(second).ready
         assert first.qstate == QS_OUT
-        assert engine.unit_for(second).acquire_count + \
-            engine.unit_for(first).acquire_count == 0
-        engine.check_hygiene()
-
-
-class TestQueueUnit:
-    def _warp(self, warp_id):
-        return Warp(warp_id, 0, straightline_kernel(), DeterministicRng(warp_id))
-
-    def test_wake_due_restores_id_order(self):
-        unit = SchedulerWakeQueue(sched=None)
-        w0, w2, w4 = self._warp(0), self._warp(2), self._warp(4)
-        unit.add_ready(w2)
-        for warp, wake in ((w0, 10), (w4, 5)):
-            warp.wake_cycle = wake
-            warp.stalled_on = "scoreboard"
-            unit.push_sleeper(warp, cycle=1)
-        unit.wake_due(4)
-        assert unit.ready == [w2]
-        unit.wake_due(10)
-        assert unit.ready == [w0, w2, w4]
-        assert all(w.qstate == QS_READY for w in unit.ready)
-        unit.check_hygiene()
-
-    def test_unblock_hooks_are_idempotent(self):
-        unit = SchedulerWakeQueue(sched=None)
-        warp = self._warp(1)
-        unit.add_ready(warp)
-        # Already ready: neither hook may double-insert or underflow.
-        unit.unblock_acquire(warp)
-        unit.unblock_barrier(warp)
-        assert unit.ready == [warp]
-        assert unit.acquire_count == 0 and unit.barrier_count == 0
-
-    def test_sleeper_flags_track_the_horizon_crossing(self):
-        """A non-memory sleeper counts as a memory stall while its wake
-        is > HORIZON out, then flips to scoreboard — the scan's
-        time-varying classification, reproduced from aggregates."""
-        unit = SchedulerWakeQueue(sched=None)
-        warp = self._warp(0)
-        warp.stalled_on = "scoreboard"
-        warp.wake_cycle = 130
-        unit.add_ready(warp)
-        unit.ready.remove(warp)
-        unit.push_sleeper(warp, cycle=100)  # 30 cycles out: far
-        assert unit.sleeper_flags(100) == (True, False)
-        assert unit.sleeper_flags(109) == (True, False)   # wake-cycle = 21
-        assert unit.sleeper_flags(110) == (False, True)   # wake-cycle = 20
-        assert unit.sleeper_flags(129) == (False, True)
-
-    def test_dispose_issued_routes_by_status(self):
-        unit = SchedulerWakeQueue(sched=None)
-        ready_w, sleeper_w, barrier_w, acquire_w = (
-            self._warp(i) for i in range(4)
-        )
-        for w in (ready_w, sleeper_w, barrier_w, acquire_w):
-            unit.add_ready(w)
-        sleeper_w.wake_cycle = 50  # eager-retry backoff
-        barrier_w.status = WarpStatus.AT_BARRIER
-        acquire_w.status = WarpStatus.WAITING_ACQUIRE
-        for w in (ready_w, sleeper_w, barrier_w, acquire_w):
-            unit.dispose_issued(w, cycle=10)
-            unit.dispose_issued(w, cycle=10)  # idempotent second call
-        assert unit.ready == [ready_w]
-        assert sleeper_w.qstate == QS_SLEEPING
-        assert barrier_w.qstate == QS_BARRIER
-        assert acquire_w.qstate == QS_ACQUIRE
-        assert unit.barrier_count == 1 and unit.acquire_count == 1
-        assert unit.sleeping_warps() == 1
-        unit.check_hygiene()
+        assert unit_of(second).acquire_count + unit_of(first).acquire_count == 0
+        core.check_hygiene()
 
 
 class TestColumnarViews:
