@@ -6,47 +6,39 @@ the :class:`ExperimentRunner`:
 1. **Deduplicate.**  The figure suite re-requests many jobs (every
    figure needs its apps' baselines); the union of all specs' jobs is
    collected once, in first-declared order.
-2. **Dispatch.**  Jobs missing from the runner's cache are simulated —
-   in-process when ``workers=1``, otherwise fanned out to a
-   ``ProcessPoolExecutor``.  Each (kernel, config, technique) run is
-   independent and CPU-bound, so the suite's wall clock scales with the
-   worker count; results are bit-identical to serial execution because
-   a worker rebuilds the exact same (kernel, technique, seed) triple
-   and runs the same deterministic simulator.
+2. **Dispatch.**  Jobs missing from the run store are simulated —
+   in-process when ``workers=1``, otherwise through a
+   :class:`JobExecutor` (the execution core the service daemon shares)
+   over one ``ProcessPoolExecutor`` per batch.  Results are
+   bit-identical to serial execution: a worker rebuilds the exact same
+   (kernel, technique, seed) triple and runs the same deterministic
+   simulator.
 3. **Merge.**  Worker records are installed into the runner's memo
    under the same content-hash keys ``runner.run`` would use, then the
    cache is persisted once (atomic write) for the whole session.
 
-Failure handling distinguishes three regimes:
+Failure handling distinguishes four regimes:
 
-* **Deterministic errors** (deadlock, cycle limit, invariant
-  violation, placement — any :class:`SimulationError` — and compiler
-  pass failures, any :class:`CompileError`): re-running the
-  same deterministic job reproduces them bit-for-bit, so they are
-  *never* retried.  They surface as a typed :class:`JobFailure` whose
-  ``kind`` comes from the exception taxonomy.
-* **Worker crashes** (a pool process dies — OOM kill, preemption,
-  hard fault): transient and environmental.  The broken pool poisons
-  every unfinished future without attributing the crash, so all
-  unfinished jobs are resubmitted to a fresh pool, with exponential
-  backoff, up to ``max_retries`` extra attempts each.  With
-  checkpointing on (``checkpoint_interval > 0``), a resubmitted job
-  *resumes* from whatever checkpoints the dead worker flushed rather
-  than restarting at cycle 0 — bit-identical either way, so retries
-  and cold runs share one cache key.
-* **Operator interrupts** (SIGINT / Ctrl-C): in-flight futures are
-  cancelled, workers terminated, everything already computed is
-  flushed to the cache along with partial telemetry, and a typed
-  :class:`repro.errors.InterruptedRun` carrying the completed/total
-  counts replaces the raw traceback.
-* **Timeouts**: each job carries its own wall-clock deadline — a
-  per-job override (``run_jobs(..., timeouts=...)``, the path a service
-  client's per-submit timeout rides) or the session ``job_timeout``
-  default.  An overdue job fails with kind ``timeout`` while on-time
-  siblings keep running; if its worker is still wedged when everything
-  else finishes, the pool is abandoned (not joined — a hung worker
-  would block shutdown forever).  Not retried: a hang long enough to
-  trip the watchdog would cost another full timeout to re-confirm.
+* **Deterministic errors** (any :class:`SimulationError` or
+  :class:`CompileError`) reproduce bit-for-bit, so they are *never*
+  retried; they surface as a typed :class:`JobFailure` whose ``kind``
+  comes from the exception taxonomy.
+* **Worker crashes** (OOM kill, preemption, hard fault) are transient.
+  A broken pool poisons every unfinished future without attributing
+  the crash, so each is resubmitted to a fresh pool, with exponential
+  backoff, up to ``max_retries`` extra attempts.  With checkpointing on
+  (``checkpoint_interval > 0``) a resubmitted job *resumes* from the
+  dead worker's checkpoints — bit-identical, same cache key.
+* **Timeouts**: each job has its own deadline — a per-job override
+  (``run_jobs(..., timeouts=...)``, the path a service client's
+  per-submit timeout rides) or the session ``job_timeout``.  An overdue
+  job fails with kind ``timeout`` while on-time siblings finish
+  undisturbed (:meth:`JobExecutor._recycle`).  Not retried: re-confirming
+  a hang would cost another full timeout.
+* **Operator interrupts** (SIGINT / Ctrl-C): workers are terminated,
+  everything already computed is flushed to the cache along with
+  partial telemetry, and a typed :class:`repro.errors.InterruptedRun`
+  carrying the completed/total counts replaces the raw traceback.
 
 Per-job wall time, attempts, cache hits/misses, failure kinds, and
 worker utilization are recorded in a :class:`SessionTelemetry`
@@ -56,16 +48,21 @@ worker utilization are recorded in a :class:`SessionTelemetry`
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import tempfile
+import threading
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
+    Future,
     ProcessPoolExecutor,
-    wait,
+    as_completed,
 )
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import (
     FAILURE_RUNTIME,
@@ -87,6 +84,7 @@ from repro.harness.telemetry import (
     MODE_CACHED,
     MODE_INLINE,
     MODE_POOL,
+    JobTiming,
     SessionTelemetry,
 )
 
@@ -114,18 +112,14 @@ def _simulate(
 ):
     """Worker-process entry point: run one job from scratch or resume it.
 
-    Builds a throwaway cache-less runner so the grid sizing, seeding,
-    and record normalization are exactly the serial path's; returns
-    ``(record | None, (kind, message) | None, seconds, resumed_cycle)``.
-    Failures are returned (not raised) so the parent can distinguish a
-    deterministic simulation error from the worker process itself dying.
-
-    With ``checkpoint_dir`` set, the simulation writes periodic
-    checkpoints there and — after a crashed or timed-out predecessor —
-    resumes from any surviving ones; ``resumed_cycle`` reports the
-    deepest such resume point (None for a cold start).  Resume is
-    bit-identical to recomputation, so the record is cache-equivalent
-    either way.
+    Uses a throwaway cache-less runner, so grid sizing, seeding and
+    record normalization are exactly the serial path's.  Returns
+    ``(record | None, (kind, message) | None, seconds, resumed_cycle)``:
+    failures are returned, not raised, so the parent can tell a
+    deterministic error from the worker process itself dying.  With
+    ``checkpoint_dir`` set the run checkpoints there and resumes from a
+    predecessor's surviving checkpoints (``resumed_cycle`` is the
+    deepest resume point, None for a cold start) — bit-identically.
     """
     start = time.perf_counter()
     runner = ExperimentRunner(
@@ -149,6 +143,269 @@ def _simulate(
         record, failure = None, (FAILURE_RUNTIME, str(exc))
     resumed = max(resume_report.get("resumed", {}).values(), default=None)
     return record, failure, time.perf_counter() - start, resumed
+
+
+def _job_checkpoint_dir(root: str | None, interval: int, key: str):
+    """Per-job checkpoint subdirectory (keyed like the run cache)."""
+    if root is None or interval <= 0:
+        return None
+    return os.path.join(root, key[:16])
+
+
+class JobOutcome(NamedTuple):
+    """The final word on one job: its record or typed failure, the last
+    attempt's seconds, the dispatches it cost, and the cycle the last
+    attempt resumed from (None for a cold start)."""
+
+    result: RunRecord | JobFailure
+    seconds: float
+    attempts: int = 1
+    resumed_from_cycle: int | None = None
+
+    @classmethod
+    def of(cls, simulated: tuple, attempts: int = 1) -> "JobOutcome":
+        """Wrap one :func:`_simulate` return value."""
+        record, failure, seconds, resumed = simulated
+        if failure is not None:
+            kind, message = failure
+            record = JobFailure(message, kind=kind, attempts=attempts)
+        return cls(record, seconds, attempts, resumed)
+
+    @property
+    def failed(self) -> bool:
+        return isinstance(self.result, JobFailure)
+
+    def timing(self, label: str, mode: str) -> JobTiming:
+        return JobTiming(
+            label, self.seconds, mode,
+            failed=self.failed,
+            failure_kind=self.result.kind if self.failed else None,
+            attempts=self.attempts,
+            cycles=None if self.failed else self.result.cycles,
+            resumed_from_cycle=self.resumed_from_cycle,
+        )
+
+
+@dataclass(eq=False)
+class _Ticket:
+    """One submitted job's dispatch state (owned by the executor)."""
+
+    job: JobSpec
+    key: str
+    timeout: float | None
+    future: Future
+    attempt: int = 1
+    gen: int | None = None        # pool generation it is dispatched on
+    inner: Future | None = None   # that pool's future for this attempt
+    deadline: float | None = None
+    not_before: float = 0.0       # earliest re-dispatch after a crash
+
+
+def _release(pool: Executor, kill: bool) -> None:
+    """Shut a pool down; with ``kill``, terminate its workers instead of
+    joining them (a wedged worker never exits).  Shutdown is requested
+    first so the pool drops cancelled work before its workers die."""
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=not kill, cancel_futures=True)
+    for proc in processes if kill else ():
+        proc.terminate()
+
+
+_STOP = object()
+
+
+class JobExecutor:
+    """Runs jobs on pool generations; the orchestrator and the daemon
+    share it.
+
+    :meth:`submit` returns a future resolving to one :class:`JobOutcome`
+    (never to ``BrokenExecutor``).  The executor owns each job's
+    checkpoint directory, crash retry with backoff, deadline, pool
+    recycling and worker kills.  ``pool_factory`` builds each pool
+    generation — any ``concurrent.futures.Executor`` — and so picks the
+    start method.  A coordinator thread turns completions, deadlines
+    and backoff delays into outcomes, under one lock.
+    """
+
+    def __init__(
+        self,
+        pool_factory: Callable[[], Executor],
+        *,
+        seed: int,
+        target_ctas_per_sm: int,
+        max_retries: int = 2,
+        retry_backoff: float = 0.05,
+        checkpoint_dir: str | None = None,
+        checkpoint_interval: int = 0,
+    ) -> None:
+        self._pool_factory = pool_factory
+        self._seed = seed
+        self._target_ctas_per_sm = target_ctas_per_sm
+        self._max_retries = max_retries
+        self._retry_backoff = retry_backoff
+        self._checkpoint_dir = checkpoint_dir
+        self._checkpoint_interval = checkpoint_interval
+        self.generation = 0                  # pool recycles so far
+        self._pools: dict[int, Executor] = {}
+        self._tickets: set[_Ticket] = set()  # submitted, not yet settled
+        self._backoff: list[_Ticket] = []    # crashed, awaiting re-dispatch
+        self._lock = threading.RLock()
+        self._events: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def __enter__(self) -> "JobExecutor":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        self.close(kill=exc_type is not None)
+
+    def submit(
+        self, job: JobSpec, key: str, timeout: float | None = None
+    ) -> Future:
+        """Dispatch ``job`` (cache key ``key``) with a wall-clock budget
+        of ``timeout`` seconds per attempt (None: unbounded)."""
+        future: Future = Future()
+        future.set_running_or_notify_cancel()   # only we settle it
+        ticket = _Ticket(job, key, timeout, future)
+        with self._lock:
+            self._tickets.add(ticket)
+            self._dispatch(ticket)
+            if self._thread is None:
+                # Started after the first dispatch, so a fork-context
+                # pool forks its workers before this thread exists.
+                self._thread = threading.Thread(target=self._coordinate,
+                                                daemon=True)
+                self._thread.start()
+        self._events.put(None)   # re-plan the coordinator's next wake-up
+        return future
+
+    def close(self, kill: bool = False) -> None:
+        """Stop the coordinator; join the current pool (kill it with
+        ``kill``) and kill the workers of retired generations."""
+        if self._thread is not None:
+            self._events.put(_STOP)
+            self._thread.join()
+        with self._lock:
+            for gen, pool in self._pools.items():
+                _release(pool, kill=kill or gen != self.generation)
+            self._pools.clear()
+
+    # -- coordinator thread ---------------------------------------------------
+    def _coordinate(self) -> None:
+        while True:
+            with self._lock:
+                wakes = [t.deadline for t in self._tickets
+                         if t.deadline is not None]
+                wakes += [t.not_before for t in self._backoff]
+            try:
+                event = self._events.get(timeout=max(
+                    0.0, min(wakes) - time.monotonic()) if wakes else None)
+            except queue.Empty:
+                event = None
+            if event is _STOP:
+                return
+            with self._lock:
+                if event is not None:
+                    self._attempt_done(*event)
+                self._tick()
+
+    def _tick(self) -> None:
+        now = time.monotonic()
+        for t in [t for t in self._tickets if t.deadline is not None
+                  and t.deadline <= now and not t.inner.done()]:
+            # Recycle before settling, so whoever reads the outcome
+            # already sees the new generation.
+            if not t.inner.cancel() and t.gen == self.generation:
+                self._recycle()   # it holds a worker nothing can preempt
+            self._fail(t, FAILURE_TIMEOUT, t.timeout,
+                       f"job not finished after {t.timeout:.1f}s timeout")
+        for t in [t for t in self._backoff if t.not_before <= now]:
+            self._backoff.remove(t)
+            self._dispatch(t)
+        for gen in [g for g in self._pools if g != self.generation
+                    and not any(t.gen == g for t in self._tickets)]:
+            _release(self._pools.pop(gen), kill=True)
+
+    def _dispatch(self, t: _Ticket) -> None:
+        try:
+            pool = self._pools.get(self.generation)
+            if pool is None:
+                pool = self._pools[self.generation] = self._pool_factory()
+            # `_simulate` is resolved per call, so instrumentation that
+            # patches the module attribute sees every job.
+            inner = pool.submit(
+                _simulate, t.job, self._seed, self._target_ctas_per_sm,
+                _job_checkpoint_dir(self._checkpoint_dir,
+                                    self._checkpoint_interval, t.key),
+                self._checkpoint_interval,
+            )
+        except Exception as exc:
+            # A pool that broke after its last completion event was
+            # handled (BrokenExecutor: the crash path retries this
+            # attempt), or one that cannot start a worker (the
+            # submitter gets the error); never the coordinator's death.
+            inner = Future()
+            inner.set_exception(exc)
+        t.gen, t.inner = self.generation, inner
+        if t.timeout is not None and t.deadline is None:
+            t.deadline = time.monotonic() + t.timeout
+        inner.add_done_callback(lambda f, t=t: self._events.put((t, f)))
+
+    def _attempt_done(self, t: _Ticket, inner: Future) -> None:
+        if t not in self._tickets or inner is not t.inner:
+            return   # a timed-out job's late result, or a moved attempt
+        try:
+            simulated = inner.result()
+        except BrokenExecutor as exc:
+            self._crashed(t, exc)
+            return
+        except Exception as exc:
+            # Not a job outcome at all (an unpicklable job, say): the
+            # submitter sees the exception, as from a plain pool.
+            self._tickets.discard(t)
+            t.future.set_exception(exc)
+            return
+        self._settle(t, JobOutcome.of(simulated, t.attempt))
+
+    def _crashed(self, t: _Ticket, exc: BrokenExecutor) -> None:
+        """The pool cannot say *which* job killed its worker — every
+        unfinished future is poisoned — so each poisoned job is retried
+        as potentially innocent."""
+        if t.gen == self.generation:
+            self._recycle()
+        t.gen = t.inner = t.deadline = None
+        if t.attempt > self._max_retries:
+            self._fail(t, FAILURE_WORKER_CRASH, 0.0,
+                       f"worker process died ({exc}); gave up after "
+                       f"{t.attempt} attempts")
+            return
+        t.attempt += 1
+        t.not_before = (time.monotonic()
+                        + self._retry_backoff * 2 ** (t.attempt - 2))
+        self._backoff.append(t)
+
+    def _recycle(self) -> None:
+        """Retire the current pool generation; new work goes to a fresh
+        one.  The old pool's running jobs finish where they are; jobs it
+        never started move over without being charged an attempt; its
+        workers die once nothing on time is left there (:meth:`_tick`)."""
+        old = self.generation
+        self.generation += 1
+        for t in [t for t in self._tickets if t.gen == old]:
+            if t.inner.cancel():
+                self._dispatch(t)
+
+    def _fail(
+        self, t: _Ticket, kind: str, seconds: float, message: str
+    ) -> None:
+        self._settle(t, JobOutcome(
+            JobFailure(message, kind=kind, attempts=t.attempt),
+            seconds, t.attempt,
+        ))
+
+    def _settle(self, t: _Ticket, outcome: JobOutcome) -> None:
+        self._tickets.discard(t)
+        t.future.set_result(outcome)
 
 
 class Orchestrator:
@@ -178,12 +435,10 @@ class Orchestrator:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        # Checkpointing turns the retry path into a *resume* path: a job
-        # re-dispatched after a worker crash or timeout reloads whatever
-        # checkpoints its predecessor flushed instead of restarting at
-        # cycle 0.  An explicit dir also survives across sessions (kill
-        # the whole process, rerun, resume); the auto-created tempdir
-        # only covers within-session retries and is removed at the end.
+        # Checkpoints turn a crash retry into a resume.  An explicit dir
+        # also survives across sessions (kill the process, rerun,
+        # resume); the auto-created tempdir only covers retries within
+        # one run_jobs call and is removed when it returns or raises.
         self.checkpoint_interval = checkpoint_interval
         self._owns_checkpoint_dir = False
         if checkpoint_dir is None and checkpoint_interval > 0:
@@ -191,12 +446,6 @@ class Orchestrator:
             self._owns_checkpoint_dir = True
         self.checkpoint_dir = checkpoint_dir
         self.telemetry = telemetry or SessionTelemetry(workers=workers)
-
-    def _job_checkpoint_dir(self, key: str) -> str | None:
-        """Per-job checkpoint subdirectory (keyed like the run cache)."""
-        if self.checkpoint_dir is None or self.checkpoint_interval <= 0:
-            return None
-        return os.path.join(self.checkpoint_dir, key[:16])
 
     # -- public API -----------------------------------------------------------
     def run_specs(
@@ -228,6 +477,13 @@ class Orchestrator:
         a simulation it is itself running.
         """
         ordered = ordered_unique_jobs(jobs)
+        timeouts = timeouts or {}
+        # Checked before anything starts, so a bad budget leaves no
+        # pool, no started telemetry and no half-run batch behind.
+        bad = [job.label for job, t in timeouts.items() if t is not None
+               and t <= 0]
+        if bad:
+            raise ValueError(f"per-job timeout must be positive: {bad}")
 
         self.telemetry.start()
         outcomes: dict[JobSpec, object] = {}
@@ -235,7 +491,7 @@ class Orchestrator:
         for job in ordered:
             kernel, technique, _ = materialize_job(job)
             key = self.runner.key_for(kernel, job.config, technique)
-            record = self.runner.cached(key)
+            record = self.runner.lookup(key)
             if record is not None:
                 self.runner.cache_hits += 1
                 outcomes[job] = record
@@ -245,13 +501,39 @@ class Orchestrator:
                 self.runner.cache_misses += 1
                 pending.append((job, key))
 
-        # workers > 1 always uses the pool, even for one job: process
-        # isolation is what contains a crashing or hanging worker.
         try:
+            # workers > 1 always uses the pool, even for one job: process
+            # isolation is what contains a crashing or hanging worker.
             if self.workers == 1 or not pending:
-                self._run_inline(pending, outcomes)
+                for job, key in pending:
+                    done = JobOutcome.of(_simulate(
+                        job, self.runner.seed, self.runner.target_ctas_per_sm,
+                        _job_checkpoint_dir(self.checkpoint_dir,
+                                            self.checkpoint_interval, key),
+                        self.checkpoint_interval,
+                    ))
+                    self._finish_job(job, key, done, MODE_INLINE, outcomes)
             else:
-                self._run_pool(pending, outcomes, timeouts or {})
+                with JobExecutor(
+                    partial(ProcessPoolExecutor,
+                            max_workers=min(self.workers, len(pending))),
+                    seed=self.runner.seed,
+                    target_ctas_per_sm=self.runner.target_ctas_per_sm,
+                    max_retries=self.max_retries,
+                    retry_backoff=self.retry_backoff,
+                    checkpoint_dir=self.checkpoint_dir,
+                    checkpoint_interval=self.checkpoint_interval,
+                ) as executor:
+                    futures = {
+                        executor.submit(
+                            job, key, timeouts.get(job, self.job_timeout)
+                        ): (job, key)
+                        for job, key in pending
+                    }
+                    for future in as_completed(futures):
+                        job, key = futures[future]
+                        self._finish_job(job, key, future.result(),
+                                         MODE_POOL, outcomes)
         except KeyboardInterrupt as exc:
             # Ctrl-C mid-batch: keep everything already computed.  The
             # journaled runner has each finished record on disk already;
@@ -267,200 +549,17 @@ class Orchestrator:
                 total=len(ordered),
                 flushed=True,
             ) from exc
+        finally:
+            if self._owns_checkpoint_dir and self.checkpoint_dir is not None:
+                shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
 
         self.runner.flush()
         self.telemetry.finish()
-        if self._owns_checkpoint_dir and self.checkpoint_dir is not None:
-            shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
         return outcomes
 
-    # -- execution backends ---------------------------------------------------
-    def _run_inline(
-        self,
-        pending: Sequence[tuple[JobSpec, str]],
-        outcomes: dict[JobSpec, object],
-    ) -> None:
-        for job, key in pending:
-            record, failure, seconds, resumed = _simulate(
-                job, self.runner.seed, self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(key), self.checkpoint_interval,
-            )
-            self._finish_job(job, key, record, failure, seconds, MODE_INLINE,
-                             outcomes, resumed_from_cycle=resumed)
-
-    def _run_pool(
-        self,
-        pending: Sequence[tuple[JobSpec, str]],
-        outcomes: dict[JobSpec, object],
-        timeouts: Mapping[JobSpec, float],
-    ) -> None:
-        queue = [(job, key, 1) for job, key in pending]
-        round_no = 0
-        while queue:
-            if round_no > 0:
-                # Exponential backoff before re-dispatching crashed work.
-                time.sleep(self.retry_backoff * (2 ** (round_no - 1)))
-            queue = self._run_pool_round(queue, outcomes, timeouts)
-            round_no += 1
-
-    def _effective_timeout(
-        self, job: JobSpec, timeouts: Mapping[JobSpec, float]
-    ) -> float | None:
-        """Per-job override first, session default second, else none."""
-        timeout = timeouts.get(job, self.job_timeout)
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"per-job timeout must be positive: {job.label}")
-        return timeout
-
-    def _run_pool_round(
-        self,
-        batch: Sequence[tuple[JobSpec, str, int]],
-        outcomes: dict[JobSpec, object],
-        timeouts: Mapping[JobSpec, float],
-    ) -> list[tuple[JobSpec, str, int]]:
-        """One dispatch round on a fresh pool; returns jobs to retry.
-
-        A fresh pool per round is mandatory, not a convenience: a crash
-        breaks the executor permanently (every later submit raises),
-        and a timed-out round leaves workers possibly wedged — the old
-        pool is abandoned with ``shutdown(wait=False)`` rather than
-        joined.
-
-        Each job carries its *own* deadline (dispatch time + its
-        effective timeout); an overdue job fails with kind ``timeout``
-        while on-time siblings keep running.  The pool is only
-        abandoned (workers terminated) when an expired job's worker is
-        still wedged after everything else finished — an expired job's
-        late result is discarded either way.
-        """
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(batch)))
-        start = time.monotonic()
-        futures = {}
-        deadlines: dict[object, float] = {}
-        for job, key, attempt in batch:
-            future = pool.submit(
-                _simulate, job, self.runner.seed,
-                self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(key), self.checkpoint_interval,
-            )
-            futures[future] = (job, key, attempt)
-            timeout = self._effective_timeout(job, timeouts)
-            if timeout is not None:
-                deadlines[future] = start + timeout
-        remaining = set(futures)
-        expired: set = set()
-        retry: list[tuple[JobSpec, str, int]] = []
-        abandoned = False
-        try:
-            while remaining:
-                next_deadline = min(
-                    (deadlines[f] for f in remaining if f in deadlines),
-                    default=None,
-                )
-                timeout = (
-                    None if next_deadline is None
-                    else max(0.0, next_deadline - time.monotonic())
-                )
-                done, remaining = wait(
-                    remaining, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # A deadline elapsed with its job still in flight:
-                    # declare exactly the overdue jobs timed out; their
-                    # siblings keep their own clocks.
-                    now = time.monotonic()
-                    overdue = {
-                        f for f in remaining
-                        if f in deadlines and deadlines[f] <= now
-                    }
-                    for future in overdue:
-                        job, key, attempt = futures[future]
-                        budget = deadlines[future] - start
-                        self._finish_job(
-                            job, key, None,
-                            (FAILURE_TIMEOUT,
-                             f"job still running after {budget:.1f}s "
-                             "timeout; worker abandoned"),
-                            budget, MODE_POOL, outcomes,
-                            attempts=attempt,
-                        )
-                    remaining -= overdue
-                    expired |= overdue
-                    continue
-                for future in done:
-                    job, key, attempt = futures[future]
-                    try:
-                        record, failure, seconds, resumed = future.result()
-                    except BrokenExecutor as exc:
-                        # The worker process died.  The pool cannot say
-                        # *which* job killed it — every unfinished
-                        # future is poisoned — so each poisoned job is
-                        # retried as potentially innocent.
-                        if attempt <= self.max_retries:
-                            retry.append((job, key, attempt + 1))
-                        else:
-                            self._finish_job(
-                                job, key, None,
-                                (FAILURE_WORKER_CRASH,
-                                 f"worker process died ({exc}); "
-                                 f"gave up after {attempt} attempts"),
-                                0.0, MODE_POOL, outcomes, attempts=attempt,
-                            )
-                        continue
-                    self._finish_job(job, key, record, failure, seconds,
-                                     MODE_POOL, outcomes, attempts=attempt,
-                                     resumed_from_cycle=resumed)
-            if any(not f.done() for f in expired):
-                # An expired job's worker is still wedged after all
-                # on-time work finished — abandon the pool rather than
-                # join it (a hung worker would block shutdown forever).
-                abandoned = True
-        except KeyboardInterrupt:
-            # Operator interrupt: cancel what never started, kill the
-            # workers (their checkpoints, if any, survive on disk), and
-            # let run_jobs() flush and summarize the partial session.
-            for future in remaining:
-                future.cancel()
-            for proc in getattr(pool, "_processes", {}).values():
-                proc.terminate()
-            abandoned = True
-            raise
-        finally:
-            if abandoned:
-                # Every abandoned job was already declared timed out
-                # (or interrupted), so the workers have no results
-                # anyone will read — kill them.  Without this, the
-                # executor's atexit hook would join the hung processes
-                # and block interpreter shutdown as long as they stay
-                # wedged.
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.terminate()
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return retry
-
-    def _finish_job(
-        self,
-        job: JobSpec,
-        key: str,
-        record: RunRecord | None,
-        failure: tuple[str, str] | None,
-        seconds: float,
-        mode: str,
-        outcomes: dict[JobSpec, object],
-        attempts: int = 1,
-        resumed_from_cycle: int | None = None,
-    ) -> None:
-        if failure is not None:
-            kind, message = failure
-            outcomes[job] = JobFailure(message, kind=kind, attempts=attempts)
-        else:
-            self.runner.install(key, record)
-            outcomes[job] = record
-        self.telemetry.record(
-            job.label, seconds, mode,
-            failed=failure is not None,
-            failure_kind=failure[0] if failure else None,
-            attempts=attempts,
-            cycles=record.cycles if failure is None and record else None,
-            resumed_from_cycle=resumed_from_cycle,
-        )
+    def _finish_job(self, job: JobSpec, key: str, done: JobOutcome,
+                    mode: str, outcomes: dict[JobSpec, object]) -> None:
+        if not done.failed:
+            self.runner.install(key, done.result)
+        outcomes[job] = done.result
+        self.telemetry.timings.append(done.timing(job.label, mode))

@@ -411,6 +411,19 @@ class ExperimentRunner:
         """The memoized record for ``key``, if any (no hit accounting)."""
         return self._memo.get(key)
 
+    def lookup(self, key: str) -> Optional[RunRecord]:
+        """The run store's record for ``key`` (no hit accounting).
+
+        The memo first; on a miss, results a concurrent process sharing
+        this cache path has journaled since the last replay are adopted
+        before declaring the key absent.
+        """
+        record = self._memo.get(key)
+        if record is None and self._cache_path:
+            self._replay_journal()
+            record = self._memo.get(key)
+        return record
+
     def install(self, key: str, record: RunRecord) -> None:
         """Merge an externally computed record (a worker's result)."""
         self._memo[key] = record
@@ -504,13 +517,7 @@ class ExperimentRunner:
         """
         technique = technique or BaselineTechnique()
         key = self._key(kernel, config, technique)
-        cached = self._memo.get(key)
-        if cached is None and self._cache_path:
-            # A concurrent process sharing this cache may have computed
-            # and journaled this key since we loaded: adopt its result
-            # instead of recomputing.
-            self._replay_journal()
-            cached = self._memo.get(key)
+        cached = self.lookup(key)
         if cached is not None:
             self.cache_hits += 1
             return cached

@@ -4,8 +4,8 @@ Every ``repro`` invocation used to pay process startup, simulator
 import, and a private cache load.  :class:`SimulationService` keeps one
 asyncio front end (Unix-domain socket, optionally TCP) over one
 journaled :class:`~repro.harness.runner.ExperimentRunner` and one
-persistent ``ProcessPoolExecutor``, so the marginal cost of a
-submission is a cache-key lookup.
+long-lived job executor, so the marginal cost of a submission is a
+cache-key lookup.
 
 Deduplication is layered, cheapest first:
 
@@ -20,13 +20,12 @@ Deduplication is layered, cheapest first:
    computing attaches to the running computation; both clients stream
    the same job id and receive the same record when it lands.
 
-Execution rides PR 7's crash-safety machinery: each job runs in a pool
-worker with periodic checkpoints keyed like the run cache, a worker
-crash retries (resuming from the surviving checkpoint), a per-job
-timeout — the client's override or the service default — fails the job
-with kind ``timeout`` and recycles the pool, and every completed record
-is write-ahead journaled before the periodic flush folds it into the
-cache file.  Killing the daemon itself (SIGKILL) therefore loses
+Jobs run on the batch orchestrator's
+:class:`~repro.harness.orchestrator.JobExecutor` over a spawn pool, with
+its crash retry, checkpoint resume and per-job timeouts (the client's
+override or the service default; only the overdue job fails).  Every
+completed record is write-ahead journaled before the periodic flush
+folds it into the cache file.  Killing the daemon itself (SIGKILL) loses
 nothing: a restarted daemon adopts journaled records and resumes
 interrupted jobs from their checkpoints.
 
@@ -45,7 +44,7 @@ import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -57,7 +56,11 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.harness.experiments import figure_spec
-from repro.harness.orchestrator import _simulate, ordered_unique_jobs
+from repro.harness.orchestrator import JobExecutor, ordered_unique_jobs
+# perfbench's layer tracer patches `_simulate` and `materialize_job` on
+# this module by name, so both stay importable from here; the executor
+# itself resolves `orchestrator._simulate` per job.
+from repro.harness.orchestrator import _simulate  # noqa: F401
 from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import JobFailure, JobSpec, materialize_job
 from repro.harness.telemetry import (
@@ -161,9 +164,7 @@ class SimulationService:
             "timeouts": 0,
             "pool_restarts": 0,
         }
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_gen = 0
-        self._pool_lock = asyncio.Lock()
+        self._executor: JobExecutor | None = None
         self._inflight: dict[str, JobState] = {}
         self._jobs: dict[int, JobState] = {}
         self._next_job_id = 1
@@ -172,16 +173,23 @@ class SimulationService:
         self._servers: list[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
         self._draining = False
-        self._closing = False
         self._flush_task: asyncio.Task | None = None
         self._started_at = time.monotonic()
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
-        """Bring up the worker pool and the periodic cache flusher
+        """Bring up the job executor and the periodic cache flusher
         (no sockets yet — tests and the fault campaign drive the
         service in-process through :meth:`submit`)."""
-        self._pool = self._new_pool()
+        self._executor = JobExecutor(
+            self._new_pool,
+            seed=self.runner.seed,
+            target_ctas_per_sm=self.runner.target_ctas_per_sm,
+            max_retries=self.config.max_retries,
+            retry_backoff=self.config.retry_backoff,
+            checkpoint_dir=self.config.checkpoint_dir,
+            checkpoint_interval=self.config.checkpoint_interval,
+        )
         if self.config.flush_interval > 0:
             self._flush_task = asyncio.create_task(self._flush_loop())
 
@@ -230,7 +238,6 @@ class SimulationService:
             await asyncio.gather(*tasks, return_exceptions=True)
         # Let follow-mode connection handlers forward the final events.
         await asyncio.sleep(0)
-        self._closing = True
         if self._flush_task is not None:
             self._flush_task.cancel()
             try:
@@ -243,8 +250,10 @@ class SimulationService:
                 await server.wait_closed()
             except Exception:
                 pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        if self._executor is not None:
+            # Drained: the workers are idle, so kill rather than join
+            # them and keep the event loop unblocked.
+            self._executor.close(kill=True)
         if self.config.socket_path:
             try:
                 os.unlink(self.config.socket_path)
@@ -263,15 +272,6 @@ class SimulationService:
     def _key_for(self, job: JobSpec) -> str:
         kernel, technique, _ = materialize_job(job)
         return self.runner.key_for(kernel, job.config, technique)
-
-    def _store_lookup(self, key: str):
-        record = self.runner.cached(key)
-        if record is None:
-            # Adopt results journaled by concurrent processes sharing
-            # the cache path (the same replay runner.run performs).
-            self.runner._replay_journal()
-            record = self.runner.cached(key)
-        return record
 
     def submit(
         self, jobs: list[JobSpec], timeout: float | None = None
@@ -309,7 +309,7 @@ class SimulationService:
             if key in self._inflight:
                 plan.append((job, key, "inflight", None))
                 continue
-            record = self._store_lookup(key)
+            record = self.runner.lookup(key)
             if record is not None:
                 plan.append((job, key, "store", record))
             else:
@@ -336,11 +336,9 @@ class SimulationService:
                 state.dedup = "store"
                 self.stats["dedup_store"] += 1
                 self._emit(state, JOB_QUEUED, QUEUED)
-                state.timing = JobTiming(
+                self._finish(state, record, JobTiming(
                     job.label, 0.0, MODE_CACHED, cycles=record.cycles
-                )
-                self.telemetry.timings.append(state.timing)
-                self._finish(state, record=record)
+                ))
             else:
                 state = self._new_state(job, key, effective_timeout)
                 self._inflight[key] = state
@@ -363,152 +361,72 @@ class SimulationService:
         return state
 
     # -- execution ------------------------------------------------------------
-    def _job_checkpoint_dir(self, key: str) -> str | None:
-        if self.config.checkpoint_dir is None \
-                or self.config.checkpoint_interval <= 0:
-            return None
-        return os.path.join(self.config.checkpoint_dir, key[:16])
-
     async def _execute(self, state: JobState) -> None:
         try:
-            await self._run_job(state)
+            state.status = RUNNING
+            self._emit(state, JOB_RUNNING, RUNNING)
+            done = await asyncio.wrap_future(
+                self._executor.submit(state.job, state.key, state.timeout)
+            )
+            self.stats["pool_restarts"] = self._executor.generation
+            kind = done.result.kind if done.failed else None
+            if kind == FAILURE_TIMEOUT:
+                self.stats["timeouts"] += 1
+            elif kind != FAILURE_WORKER_CRASH:
+                self.stats["simulations"] += 1
+            if not done.failed:
+                self.runner.install(state.key, done.result)
+            state.resumed_from_cycle = done.resumed_from_cycle
+            if done.resumed_from_cycle is not None:
+                self._emit(state, JOB_RESUMED, RUNNING,
+                           pc=done.resumed_from_cycle,
+                           resumed_from_cycle=done.resumed_from_cycle)
+            self._finish(state, done.result,
+                         done.timing(state.job.label, MODE_POOL))
         finally:
             self._inflight.pop(state.key, None)
-
-    async def _run_job(self, state: JobState) -> None:
-        state.status = RUNNING
-        self._emit(state, JOB_RUNNING, RUNNING)
-        attempt = 1
-        while True:
-            gen = self._pool_gen
-            future = self._pool.submit(
-                _simulate, state.job, self.runner.seed,
-                self.runner.target_ctas_per_sm,
-                self._job_checkpoint_dir(state.key),
-                self.config.checkpoint_interval,
-            )
-            try:
-                record, failure, seconds, resumed = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout=state.timeout
-                )
-            except asyncio.TimeoutError:
-                # The worker is past its budget and cannot be preempted
-                # in place: declare the job timed out and recycle the
-                # pool so the wedged process dies.
-                self.stats["timeouts"] += 1
-                await self._restart_pool(gen)
-                self._finish(
-                    state,
-                    failure=(FAILURE_TIMEOUT,
-                             f"job still running after "
-                             f"{state.timeout:.1f}s timeout; "
-                             "worker recycled"),
-                    seconds=state.timeout or 0.0, attempts=attempt,
-                    simulated=True,
-                )
-                return
-            except BrokenExecutor as exc:
-                await self._restart_pool(gen)
-                if attempt <= self.config.max_retries:
-                    attempt += 1
-                    await asyncio.sleep(
-                        self.config.retry_backoff * attempt
-                    )
-                    continue
-                self._finish(
-                    state,
-                    failure=(FAILURE_WORKER_CRASH,
-                             f"worker process died ({exc}); gave up "
-                             f"after {attempt} attempts"),
-                    seconds=0.0, attempts=attempt, simulated=True,
-                )
-                return
-            except asyncio.CancelledError:
-                if self._closing:
-                    raise
-                # Our (pending) pool future was collateral of a sibling
-                # job's pool recycle — the work never started; redo it
-                # on the fresh pool without consuming a retry.
-                continue
-            break
-        self.stats["simulations"] += 1
-        state.resumed_from_cycle = resumed
-        if resumed is not None:
-            self._emit(state, JOB_RESUMED, RUNNING, pc=resumed,
-                       resumed_from_cycle=resumed)
-        self._finish(state, record=record, failure=failure,
-                     seconds=seconds, attempts=attempt, resumed=resumed,
-                     simulated=True)
-
-    async def _restart_pool(self, gen: int) -> None:
-        """Terminate and rebuild the pool at most once per generation."""
-        async with self._pool_lock:
-            if gen != self._pool_gen:
-                return
-            self._pool_gen += 1
-            self.stats["pool_restarts"] += 1
-            old = self._pool
-            for proc in getattr(old, "_processes", {}).values():
-                proc.terminate()
-            old.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
         """A spawn-context pool: fork would hand every worker a copy of
         the daemon's listening socket, so a worker orphaned by a daemon
         SIGKILL would keep the dead listener's backlog accepting
         connects and black-hole clients of the restarted daemon.
-        Spawned workers inherit no daemon fds."""
+        Spawned workers inherit no daemon fds.  (perfbench overrides
+        this to run jobs on a thread it can trace.)"""
         return ProcessPoolExecutor(
             max_workers=self.config.workers,
             mp_context=multiprocessing.get_context("spawn"),
         )
 
     # -- completion + event fan-out -------------------------------------------
-    def _finish(
-        self,
-        state: JobState,
-        record=None,
-        failure: tuple[str, str] | None = None,
-        seconds: float = 0.0,
-        attempts: int = 1,
-        resumed: int | None = None,
-        simulated: bool = False,
-    ) -> None:
-        if failure is not None:
-            kind, message = failure
-            state.failure = JobFailure(message, kind=kind, attempts=attempts)
-            state.status = FAILED
+    def _finish(self, state: JobState, result, timing: JobTiming) -> None:
+        """Record a terminal outcome (a record or a typed failure) and
+        publish its frame."""
+        state.timing = timing
+        self.telemetry.timings.append(timing)
+        if isinstance(result, JobFailure):
+            state.failure, state.status, kind = result, FAILED, JOB_FAILED
         else:
-            state.record = record
-            state.status = DONE
-            if simulated:
-                self.runner.install(state.key, record)
-        if simulated:
-            state.timing = JobTiming(
-                state.job.label, seconds, MODE_POOL,
-                failed=failure is not None,
-                failure_kind=failure[0] if failure else None,
-                attempts=attempts,
-                cycles=record.cycles if failure is None else None,
-                resumed_from_cycle=resumed,
-            )
-            self.telemetry.timings.append(state.timing)
-        frame_extra: dict = {
+            state.record, state.status, kind = result, DONE, JOB_DONE
+        self._emit(state, kind, state.status, **self._outcome_fields(state))
+
+    @staticmethod
+    def _outcome_fields(state: JobState) -> dict:
+        """The outcome half of a terminal job's frame or submit entry."""
+        fields: dict = {
             "timing": state.timing.to_dict() if state.timing else None,
         }
-        if state.status == DONE:
-            frame_extra["record"] = record_to_wire(state.record)
-            frame_extra["dedup"] = state.dedup
-            frame_extra["resumed_from_cycle"] = state.resumed_from_cycle
-            self._emit(state, JOB_DONE, DONE, **frame_extra)
-        else:
-            frame_extra["failure"] = {
+        if state.status == FAILED:
+            fields["failure"] = {
                 "kind": state.failure.kind,
                 "message": state.failure.message,
                 "attempts": state.failure.attempts,
             }
-            self._emit(state, JOB_FAILED, FAILED, **frame_extra)
+        else:
+            fields["record"] = record_to_wire(state.record)
+            fields["dedup"] = state.dedup
+            fields["resumed_from_cycle"] = state.resumed_from_cycle
+        return fields
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)
@@ -584,26 +502,16 @@ class SimulationService:
             )
         return [job_from_wire(j) for j in jobs_payload]
 
-    @staticmethod
-    def _entry(state: JobState, dedup: str | None) -> dict:
+    def _entry(self, state: JobState, dedup: str | None) -> dict:
         entry = {
             "job_id": state.job_id,
             "key": state.key,
             "label": state.job.label,
             "status": state.status,
-            "dedup": dedup,
         }
-        if state.status == DONE:
-            entry["record"] = record_to_wire(state.record)
-            entry["timing"] = (
-                state.timing.to_dict() if state.timing else None
-            )
-        elif state.status == FAILED:
-            entry["failure"] = {
-                "kind": state.failure.kind,
-                "message": state.failure.message,
-                "attempts": state.failure.attempts,
-            }
+        if state.status in TERMINAL:
+            entry.update(self._outcome_fields(state))
+        entry["dedup"] = dedup   # how *this* submission got the job
         return entry
 
     async def _handle_conn(self, reader, writer) -> None:

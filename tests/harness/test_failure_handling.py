@@ -1,8 +1,15 @@
-"""Orchestrator failure regimes: retry, attribution, timeout, propagation."""
+"""Orchestrator failure regimes: retry, attribution, timeout, interrupt,
+propagation."""
+
+import json
+import multiprocessing
+import os
 
 import pytest
 
 from repro.arch.config import fermi_like
+from repro.errors import InterruptedRun
+from repro.harness import orchestrator
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.spec import JobFailure, JobSpec, TechniqueSpec
@@ -135,6 +142,61 @@ class TestJobTimeout:
         orch = _orchestrator(workers=2)
         with pytest.raises(ValueError, match="timeout"):
             orch.run_jobs([job], timeouts={job: 0.0})
+
+    def test_bad_timeout_is_rejected_before_any_dispatch(self):
+        """The budget check runs before the pool exists: no worker
+        outlives the ValueError (it would keep the interpreter from
+        exiting until its job finished) and the session never starts."""
+        sleeper = _job(TechniqueSpec.of(
+            "faulty-worker", mode="worker-sleep", delay_seconds=3.0
+        ))
+        job = _job(TechniqueSpec.of("baseline"))
+        orch = _orchestrator(workers=2)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="timeout"):
+            orch.run_jobs([sleeper, job], timeouts={job: 0.0})
+        assert set(multiprocessing.active_children()) <= before
+        assert orch.telemetry._started_at is None
+        assert orch.telemetry.timings == []
+
+
+class TestInterrupt:
+    def test_ctrl_c_flushes_finished_work_and_cleans_up(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C on the second of two inline jobs: a typed
+        InterruptedRun, the first record flushed to the cache file,
+        telemetry closed, and the auto-created checkpoint dir removed."""
+        cache = tmp_path / "cache.json"
+        runner = ExperimentRunner(target_ctas_per_sm=2, seed=7,
+                                  cache_path=str(cache))
+        # A huge interval owns a tempdir without writing checkpoints.
+        orch = Orchestrator(runner, workers=1, checkpoint_interval=10**9)
+        owned = orch.checkpoint_dir
+        assert os.path.isdir(owned)
+        real = orchestrator._simulate
+        calls = []
+
+        def interrupted_second(job, *args):
+            calls.append(job)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(job, *args)
+
+        monkeypatch.setattr(orchestrator, "_simulate", interrupted_second)
+        first = _job(TechniqueSpec.of("baseline"))
+        second = _job(TechniqueSpec.of("regmutex"))
+        with pytest.raises(InterruptedRun) as info:
+            orch.run_jobs([first, second])
+        err = info.value
+        assert (err.completed, err.total, err.flushed) == (1, 2, True)
+        entries = json.loads(cache.read_text())["entries"]
+        assert [e["record"]["cycles"] for e in entries.values()] == [
+            orch.telemetry.timings[0].cycles
+        ]
+        assert orch.telemetry._started_at is None
+        assert orch.telemetry.wall_seconds > 0
+        assert not os.path.exists(owned)
 
 
 class TestValidation:

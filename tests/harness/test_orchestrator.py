@@ -11,15 +11,18 @@ import pytest
 
 from repro.arch.config import fermi_like
 from repro.harness import experiments as E
+from repro.harness import orchestrator
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.spec import (
     JobFailure,
     JobSpec,
     TechniqueSpec,
+    execute_job,
     materialize_job,
     run_experiment,
 )
+from repro.harness.telemetry import MODE_CACHED
 
 CFG = fermi_like(
     name="orch-test",
@@ -126,6 +129,24 @@ class TestCacheMerge:
         assert rows_fresh == rows_first
         assert fresh.telemetry.cache_misses == 0
         assert fresh.telemetry.cache_hits == len(spec.jobs)
+
+    def test_peer_journaled_record_is_adopted_without_dispatch(
+        self, tmp_path, monkeypatch
+    ):
+        """A record a second runner journaled on the same cache path
+        (not yet flushed) answers the cache pass: no job is run."""
+        cache = str(tmp_path / "cache.json")
+        ours = _runner(cache_path=cache)
+        job = JobSpec("Gaussian", CFG, TechniqueSpec.of("baseline"))
+        record = execute_job(job, _runner(cache_path=cache))
+
+        def dispatched(*args):
+            raise AssertionError("a journaled job was dispatched")
+
+        monkeypatch.setattr(orchestrator, "_simulate", dispatched)
+        orch = Orchestrator(ours, workers=1)
+        assert orch.run_jobs([job])[job] == record
+        assert [t.mode for t in orch.telemetry.timings] == [MODE_CACHED]
 
 
 class TestFailureTolerance:

@@ -164,6 +164,22 @@ class TestTimeoutPropagation:
 
         drive(svc_config(tmp_path, job_timeout=60.0), body)
 
+    def test_timeout_spares_an_on_time_sibling(self, tmp_path):
+        """Only the overdue job fails: a sibling running on time on the
+        same pool finishes on its first attempt instead of being killed
+        by the recycle (or re-run and charged a retry)."""
+        async def body(service):
+            (sibling, _), = service.submit([sleeper_job(2.0)])
+            await asyncio.sleep(0.2)
+            (hung, _), = service.submit([sleeper_job(8.0)], timeout=0.4)
+            await asyncio.gather(hung.task, sibling.task)
+            assert hung.status == FAILED and hung.failure.kind == "timeout"
+            assert sibling.status == DONE
+            assert sibling.timing.attempts == 1
+            assert isinstance(sibling.record, RunRecord)
+
+        drive(svc_config(tmp_path, workers=2, max_retries=0), body)
+
 
 class TestObserveWiring:
     def test_job_lifecycle_lands_on_the_bus(self, tmp_path):
