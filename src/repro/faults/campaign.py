@@ -358,33 +358,6 @@ def _concurrent_cache_scenario(
 
 
 # -- kill-mid-run scenario ---------------------------------------------------------
-def _pooled(seed: int, workers: int, **knobs) -> Orchestrator:
-    """An orchestrator that always dispatches to a worker pool."""
-    return Orchestrator(ExperimentRunner(target_ctas_per_sm=2, seed=seed),
-                        workers=max(2, workers), **knobs)
-
-
-def _kill_mid_run_job(seed: int, config: GpuConfig, marker: str):
-    """``(reference, job, kill_cycle, interval)``: the undisturbed
-    baseline record, a job whose worker SIGKILLs itself half-way through
-    that run, and a checkpoint interval leaving resume points before the
-    kill."""
-    ref_job = JobSpec(
-        app="Gaussian", config=config, technique=TechniqueSpec("baseline"),
-    )
-    ref = Orchestrator(
-        ExperimentRunner(target_ctas_per_sm=2, seed=seed), workers=1
-    ).run_jobs([ref_job])[ref_job]
-    kill_cycle = max(200, ref.cycles // 2)
-    job = JobSpec(
-        app="Gaussian", config=config,
-        technique=TechniqueSpec.of(
-            "kill-mid-run", kill_cycle=kill_cycle, marker_path=marker
-        ),
-    )
-    return ref, job, kill_cycle, max(50, kill_cycle // 3)
-
-
 def _kill_mid_run_scenario(
     seed: int, workers: int, workdir: str, engine: str | None = None
 ) -> FaultOutcome:
@@ -401,12 +374,30 @@ def _kill_mid_run_scenario(
     if engine is not None:
         config = dataclasses.replace(config, issue_engine=engine)
         tag = f"-{engine}"
-    ref, job, kill_cycle, interval = _kill_mid_run_job(
-        seed, config, os.path.join(workdir, f"kill-mid-run{tag}.marker")
+    ref_job = JobSpec(
+        app="Gaussian", config=config,
+        technique=TechniqueSpec("baseline"),
     )
+    ref_orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed), workers=1
+    )
+    ref = ref_orch.run_jobs([ref_job])[ref_job]
+
+    kill_cycle = max(200, ref.cycles // 2)
+    interval = max(50, kill_cycle // 3)
+    marker = os.path.join(workdir, f"kill-mid-run{tag}.marker")
     ckpt_dir = os.path.join(workdir, f"kill-mid-run{tag}-ckpts")
-    orch = _pooled(seed, workers, max_retries=2, retry_backoff=0.01,
-                   checkpoint_dir=ckpt_dir, checkpoint_interval=interval)
+    job = JobSpec(
+        app="Gaussian", config=config,
+        technique=TechniqueSpec.of(
+            "kill-mid-run", kill_cycle=kill_cycle, marker_path=marker
+        ),
+    )
+    orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed),
+        workers=max(2, workers), max_retries=2, retry_backoff=0.01,
+        checkpoint_dir=ckpt_dir, checkpoint_interval=interval,
+    )
     result = orch.run_jobs([job])[job]
     recovered = isinstance(result, RunRecord)
     retried = orch.telemetry.retries >= 1
@@ -447,8 +438,23 @@ def _daemon_kill_worker_scenario(
 
     from repro.service.daemon import ServiceConfig, SimulationService
 
-    ref, job, kill_cycle, interval = _kill_mid_run_job(
-        seed, HARNESS_CONFIG, os.path.join(workdir, "daemon-kill.marker")
+    ref_job = JobSpec(
+        app="Gaussian", config=HARNESS_CONFIG,
+        technique=TechniqueSpec("baseline"),
+    )
+    ref_orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed), workers=1
+    )
+    ref = ref_orch.run_jobs([ref_job])[ref_job]
+
+    kill_cycle = max(200, ref.cycles // 2)
+    interval = max(50, kill_cycle // 3)
+    marker = os.path.join(workdir, "daemon-kill.marker")
+    job = JobSpec(
+        app="Gaussian", config=HARNESS_CONFIG,
+        technique=TechniqueSpec.of(
+            "kill-mid-run", kill_cycle=kill_cycle, marker_path=marker
+        ),
     )
     service_config = ServiceConfig(
         socket_path=os.path.join(workdir, "daemon-kill.sock"),
@@ -510,7 +516,10 @@ def _harness_scenarios(seed: int, workers: int, workdir: str) -> list[FaultOutco
             "faulty-worker", mode="worker-crash", marker_path=marker
         ),
     )
-    orch = _pooled(seed, workers, max_retries=2, retry_backoff=0.01)
+    orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed),
+        workers=max(2, workers), max_retries=2, retry_backoff=0.01,
+    )
     result = orch.run_jobs([crash_job])[crash_job]
     recovered = isinstance(result, RunRecord)
     retries = orch.telemetry.retries
@@ -531,7 +540,10 @@ def _harness_scenarios(seed: int, workers: int, workdir: str) -> list[FaultOutco
         app="Gaussian", config=HARNESS_CONFIG,
         technique=TechniqueSpec.of("faulty-worker", mode="sim-error"),
     )
-    orch = _pooled(seed, workers, max_retries=2, retry_backoff=0.01)
+    orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed),
+        workers=max(2, workers), max_retries=2, retry_backoff=0.01,
+    )
     result = orch.run_jobs([error_job])[error_job]
     attributed = (
         isinstance(result, JobFailure)
@@ -557,7 +569,10 @@ def _harness_scenarios(seed: int, workers: int, workdir: str) -> list[FaultOutco
             "faulty-worker", mode="worker-sleep", delay_seconds=5.0
         ),
     )
-    orch = _pooled(seed, workers, job_timeout=0.75, max_retries=0)
+    orch = Orchestrator(
+        ExperimentRunner(target_ctas_per_sm=2, seed=seed),
+        workers=max(2, workers), job_timeout=0.75, max_retries=0,
+    )
     result = orch.run_jobs([sleep_job])[sleep_job]
     timed_out = isinstance(result, JobFailure) and result.kind == "timeout"
     outcomes.append(FaultOutcome(

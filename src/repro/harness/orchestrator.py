@@ -9,36 +9,45 @@ the :class:`ExperimentRunner`:
 2. **Dispatch.**  Jobs missing from the run store are simulated —
    in-process when ``workers=1``, otherwise through a
    :class:`JobExecutor` (the execution core the service daemon shares)
-   over one ``ProcessPoolExecutor`` per batch.  Results are
-   bit-identical to serial execution: a worker rebuilds the exact same
-   (kernel, technique, seed) triple and runs the same deterministic
-   simulator.
+   over one ``ProcessPoolExecutor`` per batch.  Each (kernel, config,
+   technique) run is independent and CPU-bound, so the suite's wall
+   clock scales with the worker count; results are bit-identical to
+   serial execution because a worker rebuilds the exact same (kernel,
+   technique, seed) triple and runs the same deterministic simulator.
 3. **Merge.**  Worker records are installed into the runner's memo
    under the same content-hash keys ``runner.run`` would use, then the
    cache is persisted once (atomic write) for the whole session.
 
 Failure handling distinguishes four regimes:
 
-* **Deterministic errors** (any :class:`SimulationError` or
-  :class:`CompileError`) reproduce bit-for-bit, so they are *never*
-  retried; they surface as a typed :class:`JobFailure` whose ``kind``
-  comes from the exception taxonomy.
-* **Worker crashes** (OOM kill, preemption, hard fault) are transient.
-  A broken pool poisons every unfinished future without attributing
-  the crash, so each is resubmitted to a fresh pool, with exponential
-  backoff, up to ``max_retries`` extra attempts.  With checkpointing on
-  (``checkpoint_interval > 0``) a resubmitted job *resumes* from the
-  dead worker's checkpoints — bit-identical, same cache key.
-* **Timeouts**: each job has its own deadline — a per-job override
-  (``run_jobs(..., timeouts=...)``, the path a service client's
-  per-submit timeout rides) or the session ``job_timeout``.  An overdue
-  job fails with kind ``timeout`` while on-time siblings finish
-  undisturbed (:meth:`JobExecutor._recycle`).  Not retried: re-confirming
-  a hang would cost another full timeout.
-* **Operator interrupts** (SIGINT / Ctrl-C): workers are terminated,
-  everything already computed is flushed to the cache along with
-  partial telemetry, and a typed :class:`repro.errors.InterruptedRun`
-  carrying the completed/total counts replaces the raw traceback.
+* **Deterministic errors** (deadlock, cycle limit, invariant
+  violation, placement — any :class:`SimulationError` — and compiler
+  pass failures, any :class:`CompileError`): re-running the
+  same deterministic job reproduces them bit-for-bit, so they are
+  *never* retried.  They surface as a typed :class:`JobFailure` whose
+  ``kind`` comes from the exception taxonomy.
+* **Worker crashes** (a pool process dies — OOM kill, preemption,
+  hard fault): transient and environmental.  The broken pool poisons
+  every unfinished future without attributing the crash, so each
+  poisoned job is resubmitted to a fresh pool, with exponential
+  backoff, up to ``max_retries`` extra attempts each.  With
+  checkpointing on (``checkpoint_interval > 0``), a resubmitted job
+  *resumes* from whatever checkpoints the dead worker flushed rather
+  than restarting at cycle 0 — bit-identical either way, so retries
+  and cold runs share one cache key.
+* **Operator interrupts** (SIGINT / Ctrl-C): in-flight futures are
+  cancelled, workers terminated, everything already computed is
+  flushed to the cache along with partial telemetry, and a typed
+  :class:`repro.errors.InterruptedRun` carrying the completed/total
+  counts replaces the raw traceback.
+* **Timeouts**: each job carries its own wall-clock deadline — a
+  per-job override (``run_jobs(..., timeouts=...)``, the path a service
+  client's per-submit timeout rides) or the session ``job_timeout``
+  default.  An overdue job fails with kind ``timeout`` while on-time
+  siblings finish undisturbed on their first attempt; the wedged
+  worker is killed once they are done (:meth:`JobExecutor._recycle`).
+  Not retried: a hang long enough to trip the watchdog would cost
+  another full timeout to re-confirm.
 
 Per-job wall time, attempts, cache hits/misses, failure kinds, and
 worker utilization are recorded in a :class:`SessionTelemetry`
@@ -58,11 +67,17 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    as_completed,
 )
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.errors import (
     FAILURE_RUNTIME,
@@ -112,14 +127,18 @@ def _simulate(
 ):
     """Worker-process entry point: run one job from scratch or resume it.
 
-    Uses a throwaway cache-less runner, so grid sizing, seeding and
-    record normalization are exactly the serial path's.  Returns
-    ``(record | None, (kind, message) | None, seconds, resumed_cycle)``:
-    failures are returned, not raised, so the parent can tell a
-    deterministic error from the worker process itself dying.  With
-    ``checkpoint_dir`` set the run checkpoints there and resumes from a
-    predecessor's surviving checkpoints (``resumed_cycle`` is the
-    deepest resume point, None for a cold start) — bit-identically.
+    Builds a throwaway cache-less runner so the grid sizing, seeding,
+    and record normalization are exactly the serial path's; returns
+    ``(record | None, (kind, message) | None, seconds, resumed_cycle)``.
+    Failures are returned (not raised) so the parent can distinguish a
+    deterministic simulation error from the worker process itself dying.
+
+    With ``checkpoint_dir`` set, the simulation writes periodic
+    checkpoints there and — after a crashed or timed-out predecessor —
+    resumes from any surviving ones; ``resumed_cycle`` reports the
+    deepest such resume point (None for a cold start).  Resume is
+    bit-identical to recomputation, so the record is cache-equivalent
+    either way.
     """
     start = time.perf_counter()
     runner = ExperimentRunner(
@@ -195,7 +214,7 @@ class _Ticket:
     timeout: float | None
     future: Future
     attempt: int = 1
-    gen: int | None = None        # pool generation it is dispatched on
+    gen: int | None = None        # pool generation running this attempt
     inner: Future | None = None   # that pool's future for this attempt
     deadline: float | None = None
     not_before: float = 0.0       # earliest re-dispatch after a crash
@@ -203,8 +222,10 @@ class _Ticket:
 
 def _release(pool: Executor, kill: bool) -> None:
     """Shut a pool down; with ``kill``, terminate its workers instead of
-    joining them (a wedged worker never exits).  Shutdown is requested
-    first so the pool drops cancelled work before its workers die."""
+    joining them.  A wedged worker never exits, and joining it — here or
+    in the pool's atexit hook — would block interpreter shutdown for as
+    long as it stays wedged.  Shutdown is requested first so the pool
+    drops cancelled work before its workers die."""
     processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=not kill, cancel_futures=True)
     for proc in processes if kill else ():
@@ -223,8 +244,21 @@ class JobExecutor:
     checkpoint directory, crash retry with backoff, deadline, pool
     recycling and worker kills.  ``pool_factory`` builds each pool
     generation — any ``concurrent.futures.Executor`` — and so picks the
-    start method.  A coordinator thread turns completions, deadlines
-    and backoff delays into outcomes, under one lock.
+    start method.
+
+    A pool is handed at most as many attempts as it has workers
+    (``_max_workers``; one for an executor that does not say); the rest
+    wait here.  A ``ProcessPoolExecutor`` marks calls it has queued
+    RUNNING before any worker takes them, so without this cap a pool
+    future that cannot be cancelled might never have started.  With it,
+    every attempt handed over has a worker: its deadline starts there,
+    and a recycle strands no job behind a wedged worker.
+
+    A coordinating loop turns completions, deadlines and backoff delays
+    into outcomes, under one lock.  The batch path runs it on the calling
+    thread in :meth:`as_completed`, so a fork-context pool always forks
+    from the thread that owns the batch; the daemon runs it on a
+    background thread from :meth:`start`.
     """
 
     def __init__(
@@ -233,8 +267,8 @@ class JobExecutor:
         *,
         seed: int,
         target_ctas_per_sm: int,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
+        max_retries: int,
+        retry_backoff: float,
         checkpoint_dir: str | None = None,
         checkpoint_interval: int = 0,
     ) -> None:
@@ -248,7 +282,7 @@ class JobExecutor:
         self.generation = 0                  # pool recycles so far
         self._pools: dict[int, Executor] = {}
         self._tickets: set[_Ticket] = set()  # submitted, not yet settled
-        self._backoff: list[_Ticket] = []    # crashed, awaiting re-dispatch
+        self._waiting: list[_Ticket] = []    # queued for a worker, in order
         self._lock = threading.RLock()
         self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
@@ -262,22 +296,33 @@ class JobExecutor:
     def submit(
         self, job: JobSpec, key: str, timeout: float | None = None
     ) -> Future:
-        """Dispatch ``job`` (cache key ``key``) with a wall-clock budget
-        of ``timeout`` seconds per attempt (None: unbounded)."""
+        """Queue ``job`` (cache key ``key``) with a wall-clock budget of
+        ``timeout`` seconds per attempt, counted from when it gets a
+        worker (None: unbounded)."""
         future: Future = Future()
         future.set_running_or_notify_cancel()   # only we settle it
         ticket = _Ticket(job, key, timeout, future)
         with self._lock:
             self._tickets.add(ticket)
-            self._dispatch(ticket)
-            if self._thread is None:
-                # Started after the first dispatch, so a fork-context
-                # pool forks its workers before this thread exists.
-                self._thread = threading.Thread(target=self._coordinate,
-                                                daemon=True)
-                self._thread.start()
+            self._waiting.append(ticket)
+            self._pump()
         self._events.put(None)   # re-plan the coordinator's next wake-up
         return future
+
+    def start(self) -> None:
+        """Coordinate on a background thread until :meth:`close`."""
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def as_completed(self, futures: Iterable[Future]) -> Iterator[Future]:
+        """Coordinate on the calling thread, yielding each of
+        ``futures`` (from :meth:`submit`) as it settles."""
+        waiting = list(futures)
+        while waiting:
+            self._step()
+            done = [f for f in waiting if f.done()]
+            waiting = [f for f in waiting if f not in done]
+            yield from done
 
     def close(self, kill: bool = False) -> None:
         """Stop the coordinator; join the current pool (kill it with
@@ -290,24 +335,32 @@ class JobExecutor:
                 _release(pool, kill=kill or gen != self.generation)
             self._pools.clear()
 
-    # -- coordinator thread ---------------------------------------------------
-    def _coordinate(self) -> None:
-        while True:
-            with self._lock:
-                wakes = [t.deadline for t in self._tickets
-                         if t.deadline is not None]
-                wakes += [t.not_before for t in self._backoff]
-            try:
-                event = self._events.get(timeout=max(
-                    0.0, min(wakes) - time.monotonic()) if wakes else None)
-            except queue.Empty:
-                event = None
-            if event is _STOP:
-                return
-            with self._lock:
-                if event is not None:
-                    self._attempt_done(*event)
-                self._tick()
+    # -- coordination ---------------------------------------------------------
+    def _serve(self) -> None:
+        while self._step():
+            pass
+
+    def _step(self) -> bool:
+        """Wait for the next completion, deadline or backoff expiry and
+        act on it; False once :meth:`close` stops the loop."""
+        with self._lock:
+            now = time.monotonic()
+            wakes = [t.deadline for t in self._tickets
+                     if t.deadline is not None]
+            wakes += [t.not_before for t in self._waiting
+                      if t.not_before > now]
+        try:
+            event = self._events.get(
+                timeout=max(0.0, min(wakes) - now) if wakes else None)
+        except queue.Empty:
+            event = None
+        if event is _STOP:
+            return False
+        with self._lock:
+            if event is not None:
+                self._attempt_done(*event)
+            self._tick()
+        return True
 
     def _tick(self) -> None:
         now = time.monotonic()
@@ -319,12 +372,22 @@ class JobExecutor:
                 self._recycle()   # it holds a worker nothing can preempt
             self._fail(t, FAILURE_TIMEOUT, t.timeout,
                        f"job not finished after {t.timeout:.1f}s timeout")
-        for t in [t for t in self._backoff if t.not_before <= now]:
-            self._backoff.remove(t)
-            self._dispatch(t)
+        self._pump()
         for gen in [g for g in self._pools if g != self.generation
                     and not any(t.gen == g for t in self._tickets)]:
             _release(self._pools.pop(gen), kill=True)
+
+    def _pump(self) -> None:
+        """Hand waiting jobs (crashed ones once their backoff is over)
+        to the current pool while it has idle workers."""
+        now = time.monotonic()
+        for t in [t for t in self._waiting if t.not_before <= now]:
+            pool = self._pools.get(self.generation)
+            busy = sum(u.gen == self.generation for u in self._tickets)
+            if busy >= getattr(pool, "_max_workers", 1):
+                return
+            self._waiting.remove(t)
+            self._dispatch(t)
 
     def _dispatch(self, t: _Ticket) -> None:
         try:
@@ -347,13 +410,13 @@ class JobExecutor:
             inner = Future()
             inner.set_exception(exc)
         t.gen, t.inner = self.generation, inner
-        if t.timeout is not None and t.deadline is None:
+        if t.timeout is not None:
             t.deadline = time.monotonic() + t.timeout
         inner.add_done_callback(lambda f, t=t: self._events.put((t, f)))
 
     def _attempt_done(self, t: _Ticket, inner: Future) -> None:
         if t not in self._tickets or inner is not t.inner:
-            return   # a timed-out job's late result, or a moved attempt
+            return   # a timed-out job's late result
         try:
             simulated = inner.result()
         except BrokenExecutor as exc:
@@ -382,18 +445,16 @@ class JobExecutor:
         t.attempt += 1
         t.not_before = (time.monotonic()
                         + self._retry_backoff * 2 ** (t.attempt - 2))
-        self._backoff.append(t)
+        self._waiting.append(t)
 
     def _recycle(self) -> None:
         """Retire the current pool generation; new work goes to a fresh
-        one.  The old pool's running jobs finish where they are; jobs it
-        never started move over without being charged an attempt; its
-        workers die once nothing on time is left there (:meth:`_tick`)."""
-        old = self.generation
+        pool.  A fresh pool is mandatory, not a convenience: a crash
+        breaks a pool for good (every later submit raises), and a
+        timeout leaves a worker wedged that only a kill frees.  The
+        retired pool's on-time jobs finish where they run, uncharged;
+        :meth:`_tick` kills its workers once none is left."""
         self.generation += 1
-        for t in [t for t in self._tickets if t.gen == old]:
-            if t.inner.cancel():
-                self._dispatch(t)
 
     def _fail(
         self, t: _Ticket, kind: str, seconds: float, message: str
@@ -435,10 +496,13 @@ class Orchestrator:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        # Checkpoints turn a crash retry into a resume.  An explicit dir
-        # also survives across sessions (kill the process, rerun,
-        # resume); the auto-created tempdir only covers retries within
-        # one run_jobs call and is removed when it returns or raises.
+        # Checkpointing turns the retry path into a *resume* path: a job
+        # re-dispatched after a worker crash or timeout reloads whatever
+        # checkpoints its predecessor flushed instead of restarting at
+        # cycle 0.  An explicit dir also survives across sessions (kill
+        # the whole process, rerun, resume); the auto-created tempdir
+        # only covers within-session retries and is removed when
+        # run_jobs returns or raises.
         self.checkpoint_interval = checkpoint_interval
         self._owns_checkpoint_dir = False
         if checkpoint_dir is None and checkpoint_interval > 0:
@@ -495,8 +559,9 @@ class Orchestrator:
             if record is not None:
                 self.runner.cache_hits += 1
                 outcomes[job] = record
-                self.telemetry.record(job.label, 0.0, MODE_CACHED,
-                                      cycles=record.cycles)
+                self.telemetry.timings.append(JobTiming(
+                    job.label, 0.0, MODE_CACHED, cycles=record.cycles
+                ))
             else:
                 self.runner.cache_misses += 1
                 pending.append((job, key))
@@ -530,7 +595,7 @@ class Orchestrator:
                         ): (job, key)
                         for job, key in pending
                     }
-                    for future in as_completed(futures):
+                    for future in executor.as_completed(futures):
                         job, key = futures[future]
                         self._finish_job(job, key, future.result(),
                                          MODE_POOL, outcomes)

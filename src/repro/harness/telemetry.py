@@ -133,15 +133,6 @@ class SessionTelemetry:
             self.wall_seconds += time.perf_counter() - self._started_at
             self._started_at = None
 
-    def record(self, label: str, seconds: float, mode: str,
-               failed: bool = False, failure_kind: str | None = None,
-               attempts: int = 1, cycles: int | None = None,
-               resumed_from_cycle: int | None = None) -> None:
-        self.timings.append(
-            JobTiming(label, seconds, mode, failed, failure_kind, attempts,
-                      cycles, resumed_from_cycle)
-        )
-
     # -- aggregates -----------------------------------------------------------
     @property
     def jobs_total(self) -> int:

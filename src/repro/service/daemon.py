@@ -20,14 +20,17 @@ Deduplication is layered, cheapest first:
    computing attaches to the running computation; both clients stream
    the same job id and receive the same record when it lands.
 
-Jobs run on the batch orchestrator's
-:class:`~repro.harness.orchestrator.JobExecutor` over a spawn pool, with
-its crash retry, checkpoint resume and per-job timeouts (the client's
-override or the service default; only the overdue job fails).  Every
-completed record is write-ahead journaled before the periodic flush
-folds it into the cache file.  Killing the daemon itself (SIGKILL) loses
-nothing: a restarted daemon adopts journaled records and resumes
-interrupted jobs from their checkpoints.
+Execution rides the batch orchestrator's crash-safety machinery, its
+:class:`~repro.harness.orchestrator.JobExecutor`, over a spawn pool:
+each job runs in a pool worker with periodic checkpoints keyed like the
+run cache, a worker crash retries (resuming from the surviving
+checkpoint), a per-job timeout — the client's override or the service
+default — fails only the overdue job with kind ``timeout`` and recycles
+the pool around its on-time siblings, and every completed record is
+write-ahead journaled before the periodic flush folds it into the cache
+file.  Killing the daemon itself (SIGKILL) therefore loses nothing: a
+restarted daemon adopts journaled records and resumes interrupted jobs
+from their checkpoints.
 
 Job lifecycle (queued → running → resumed → done/failed) is published
 twice from one code path: as wire frames to subscribed clients, and as
@@ -190,6 +193,7 @@ class SimulationService:
             checkpoint_dir=self.config.checkpoint_dir,
             checkpoint_interval=self.config.checkpoint_interval,
         )
+        self._executor.start()
         if self.config.flush_interval > 0:
             self._flush_task = asyncio.create_task(self._flush_loop())
 
@@ -404,29 +408,21 @@ class SimulationService:
         publish its frame."""
         state.timing = timing
         self.telemetry.timings.append(timing)
+        frame_extra: dict = {"timing": timing.to_dict()}
         if isinstance(result, JobFailure):
-            state.failure, state.status, kind = result, FAILED, JOB_FAILED
-        else:
-            state.record, state.status, kind = result, DONE, JOB_DONE
-        self._emit(state, kind, state.status, **self._outcome_fields(state))
-
-    @staticmethod
-    def _outcome_fields(state: JobState) -> dict:
-        """The outcome half of a terminal job's frame or submit entry."""
-        fields: dict = {
-            "timing": state.timing.to_dict() if state.timing else None,
-        }
-        if state.status == FAILED:
-            fields["failure"] = {
-                "kind": state.failure.kind,
-                "message": state.failure.message,
-                "attempts": state.failure.attempts,
+            state.failure, state.status = result, FAILED
+            frame_extra["failure"] = {
+                "kind": result.kind,
+                "message": result.message,
+                "attempts": result.attempts,
             }
+            self._emit(state, JOB_FAILED, FAILED, **frame_extra)
         else:
-            fields["record"] = record_to_wire(state.record)
-            fields["dedup"] = state.dedup
-            fields["resumed_from_cycle"] = state.resumed_from_cycle
-        return fields
+            state.record, state.status = result, DONE
+            frame_extra["record"] = record_to_wire(result)
+            frame_extra["dedup"] = state.dedup
+            frame_extra["resumed_from_cycle"] = state.resumed_from_cycle
+            self._emit(state, JOB_DONE, DONE, **frame_extra)
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)
@@ -502,16 +498,26 @@ class SimulationService:
             )
         return [job_from_wire(j) for j in jobs_payload]
 
-    def _entry(self, state: JobState, dedup: str | None) -> dict:
+    @staticmethod
+    def _entry(state: JobState, dedup: str | None) -> dict:
         entry = {
             "job_id": state.job_id,
             "key": state.key,
             "label": state.job.label,
             "status": state.status,
+            "dedup": dedup,
         }
-        if state.status in TERMINAL:
-            entry.update(self._outcome_fields(state))
-        entry["dedup"] = dedup   # how *this* submission got the job
+        if state.status == DONE:
+            entry["record"] = record_to_wire(state.record)
+            entry["timing"] = (
+                state.timing.to_dict() if state.timing else None
+            )
+        elif state.status == FAILED:
+            entry["failure"] = {
+                "kind": state.failure.kind,
+                "message": state.failure.message,
+                "attempts": state.failure.attempts,
+            }
         return entry
 
     async def _handle_conn(self, reader, writer) -> None:

@@ -8,13 +8,20 @@ from repro.dashboard.history import (
     default_machine,
     load_history,
 )
-from repro.harness.telemetry import MODE_CACHED, MODE_POOL, SessionTelemetry
+from repro.harness.telemetry import (
+    MODE_CACHED,
+    MODE_POOL,
+    JobTiming,
+    SessionTelemetry,
+)
 from repro.observe.perf import perf_artifact
 
 
 def _artifact(label="unit", cycles=1_000_000, seconds=2.0):
     t = SessionTelemetry(workers=1)
-    t.record(f"{label}/job", seconds, MODE_POOL, cycles=cycles)
+    t.timings.append(
+        JobTiming(f"{label}/job", seconds, MODE_POOL, cycles=cycles)
+    )
     return perf_artifact(label, t)
 
 
@@ -107,7 +114,7 @@ class TestDurability:
 class TestDerivedViews:
     def test_cached_session_has_no_throughput(self):
         t = SessionTelemetry(workers=1)
-        t.record("a", 0.0, MODE_CACHED, cycles=500_000)
+        t.timings.append(JobTiming("a", 0.0, MODE_CACHED, cycles=500_000))
         entry = HistoryEntry(sha="s", timestamp=0.0, label="l",
                              machine="m", engine=None,
                              artifact=perf_artifact("l", t))

@@ -1,8 +1,10 @@
 """JobExecutor policies on thread pools with a stand-in ``_simulate``.
 
 The executor resolves ``orchestrator._simulate`` per dispatch, so these
-tests swap in a fake worker function and drive the retry and deadline
-paths in milliseconds, without processes or simulations.
+tests swap in a fake worker function and drive the retry, deadline and
+worker-cap paths in milliseconds, without processes or simulations —
+coordinating both on the test's thread (the batch path) and on a
+background thread (the daemon's).
 """
 
 from __future__ import annotations
@@ -32,9 +34,24 @@ class _BrokenPool(ThreadPoolExecutor):
         raise BrokenProcessPool("a worker died")
 
 
-def _executor(pools) -> JobExecutor:
+class _CountingPool(ThreadPoolExecutor):
+    """Records the most calls it held at once (queued or running)."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.held, self.peak = set(), 0
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.held.add(future)
+        self.peak = max(self.peak, len(self.held))
+        future.add_done_callback(self.held.discard)
+        return future
+
+
+def _executor(pools, max_retries=1) -> JobExecutor:
     return JobExecutor(lambda: next(pools), seed=7, target_ctas_per_sm=2,
-                       max_retries=1, retry_backoff=0.0)
+                       max_retries=max_retries, retry_backoff=0.0)
 
 
 def test_pool_broken_at_submit_retries_on_the_next_generation(monkeypatch):
@@ -42,14 +59,16 @@ def test_pool_broken_at_submit_retries_on_the_next_generation(monkeypatch):
                         lambda job, *args: (job.app, None, 0.0, None))
     pools = iter([_BrokenPool(1), ThreadPoolExecutor(1)])
     with _executor(pools) as executor:
+        executor.start()
         done = executor.submit(_job("BFS"), "k" * 16).result(timeout=10)
         assert executor.generation == 1
     assert (done.result, done.attempts) == ("BFS", 2)
 
 
-def test_timeout_moves_unstarted_work_to_a_fresh_pool(monkeypatch):
-    """One worker: the hung job times out, the job queued behind it
-    never started, so it runs on the next generation uncharged."""
+def test_job_queued_behind_a_hung_one_runs_on_a_fresh_pool(monkeypatch):
+    """One worker: the pool is never handed more than it can run, so
+    the job queued behind the hung one waits in the executor and, when
+    the hung job times out, runs on the next generation uncharged."""
     release = threading.Event()
 
     def fake(job, *args):
@@ -58,19 +77,22 @@ def test_timeout_moves_unstarted_work_to_a_fresh_pool(monkeypatch):
         return job.app, None, 0.0, None
 
     monkeypatch.setattr(orchestrator, "_simulate", fake)
-    pools = iter([ThreadPoolExecutor(1), ThreadPoolExecutor(1)])
+    first, second = _CountingPool(1), _CountingPool(1)
     try:
-        with _executor(pools) as executor:
+        with _executor(iter([first, second])) as executor:
             hung = executor.submit(_job("Hung"), "h" * 16, timeout=0.2)
-            queued = executor.submit(_job("BFS"), "q" * 16, timeout=30)
-            timed_out = hung.result(timeout=10)
-            done = queued.result(timeout=10)
+            queued = executor.submit(_job("BFS"), "q" * 16)
+            assert list(executor.as_completed([hung, queued])) == [
+                hung, queued,
+            ]
             assert executor.generation == 1
     finally:
         release.set()
+    timed_out, done = hung.result(), queued.result()
     assert isinstance(timed_out.result, JobFailure)
     assert timed_out.result.kind == "timeout"
     assert (done.result, done.attempts) == ("BFS", 1)
+    assert (first.peak, second.peak) == (1, 1)
 
 
 @pytest.mark.parametrize("retries,expected", ((0, 1), (1, 2)))
@@ -78,11 +100,10 @@ def test_crash_gives_up_after_max_retries(monkeypatch, retries, expected):
     monkeypatch.setattr(orchestrator, "_simulate",
                         lambda job, *args: (job.app, None, 0.0, None))
     pools = iter([_BrokenPool(1) for _ in range(3)])
-    executor = JobExecutor(lambda: next(pools), seed=7,
-                           target_ctas_per_sm=2, max_retries=retries,
-                           retry_backoff=0.0)
-    with executor:
-        done = executor.submit(_job("BFS"), "k" * 16).result(timeout=10)
+    with _executor(pools, max_retries=retries) as executor:
+        future = executor.submit(_job("BFS"), "k" * 16)
+        done, = executor.as_completed([future])
+    done = done.result()
     assert isinstance(done.result, JobFailure)
     assert done.result.kind == "worker-crash"
     assert done.attempts == done.result.attempts == expected

@@ -19,12 +19,14 @@ from repro.harness.telemetry import (
 
 def _session() -> SessionTelemetry:
     t = SessionTelemetry(workers=3)
-    t.record("Gaussian/baseline", 1.25, MODE_POOL, cycles=123_456)
-    t.record("BFS/regmutex-e4", 0.0, MODE_CACHED, cycles=88_000)
-    t.record("MergeSort/owf", 0.5, MODE_POOL, failed=True,
-             failure_kind="timeout", attempts=2)
-    t.record("Hotspot/baseline", 2.0, MODE_POOL, cycles=200_000,
-             resumed_from_cycle=40_000)
+    t.timings = [
+        JobTiming("Gaussian/baseline", 1.25, MODE_POOL, cycles=123_456),
+        JobTiming("BFS/regmutex-e4", 0.0, MODE_CACHED, cycles=88_000),
+        JobTiming("MergeSort/owf", 0.5, MODE_POOL, failed=True,
+                  failure_kind="timeout", attempts=2),
+        JobTiming("Hotspot/baseline", 2.0, MODE_POOL, cycles=200_000,
+                  resumed_from_cycle=40_000),
+    ]
     t.wall_seconds = 4.5
     return t
 

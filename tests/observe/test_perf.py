@@ -8,6 +8,7 @@ from repro.harness.telemetry import (
     MODE_CACHED,
     MODE_INLINE,
     MODE_POOL,
+    JobTiming,
     SessionTelemetry,
 )
 from repro.observe import (
@@ -24,10 +25,12 @@ from repro.observe import (
 
 def _session():
     t = SessionTelemetry(workers=2)
-    t.record("fig7/BFS/regmutex", 2.0, MODE_POOL, cycles=1_000_000)
-    t.record("fig7/BFS/baseline", 0.0, MODE_CACHED, cycles=500_000)
-    t.record("fig7/SAD/regmutex", 1.0, MODE_INLINE, failed=True,
-             failure_kind="deadlock", attempts=2)
+    t.timings = [
+        JobTiming("fig7/BFS/regmutex", 2.0, MODE_POOL, cycles=1_000_000),
+        JobTiming("fig7/BFS/baseline", 0.0, MODE_CACHED, cycles=500_000),
+        JobTiming("fig7/SAD/regmutex", 1.0, MODE_INLINE, failed=True,
+                  failure_kind="deadlock", attempts=2),
+    ]
     t.wall_seconds = 3.0
     return t
 
@@ -68,14 +71,16 @@ class TestPerfArtifact:
         # cycles in the numerator while sim_seconds excluded their
         # (zero) time, inflating cycles_per_sec by the cache hit rate.
         t = SessionTelemetry(workers=1)
-        t.record("a", 2.0, MODE_POOL, cycles=800_000)
-        t.record("b", 0.0, MODE_CACHED, cycles=10_000_000_000)
+        t.timings = [
+            JobTiming("a", 2.0, MODE_POOL, cycles=800_000),
+            JobTiming("b", 0.0, MODE_CACHED, cycles=10_000_000_000),
+        ]
         a = perf_artifact("mixed", t)
         assert a["totals"]["cycles_per_sec"] == pytest.approx(400_000.0)
 
     def test_all_cached_session_has_no_throughput(self):
         t = SessionTelemetry(workers=1)
-        t.record("a", 0.0, MODE_CACHED, cycles=500_000)
+        t.timings.append(JobTiming("a", 0.0, MODE_CACHED, cycles=500_000))
         a = perf_artifact("warm", t)
         assert a["totals"]["cycles"] == 0
         assert a["totals"]["cached_cycles"] == 500_000

@@ -180,6 +180,20 @@ class TestTimeoutPropagation:
 
         drive(svc_config(tmp_path, workers=2, max_retries=0), body)
 
+    def test_job_queued_behind_a_hung_one_runs_promptly(self, tmp_path):
+        """One worker, held by a hung job: the job queued behind it (no
+        timeout of its own) must run on the fresh pool the timeout
+        brings up, on its first attempt — not wait out the hang."""
+        async def body(service):
+            (hung, _), = service.submit([sleeper_job(60.0)], timeout=0.4)
+            (queued, _), = service.submit([make_job()])
+            await asyncio.wait_for(queued.task, timeout=30)
+            assert hung.status == FAILED and hung.failure.kind == "timeout"
+            assert queued.status == DONE
+            assert queued.timing.attempts == 1
+
+        drive(svc_config(tmp_path, workers=1), body)
+
 
 class TestObserveWiring:
     def test_job_lifecycle_lands_on_the_bus(self, tmp_path):
