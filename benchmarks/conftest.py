@@ -39,7 +39,8 @@ def runner() -> ExperimentRunner:
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark an experiment driver with a single timed round.
+    """Benchmark one experiment run (e.g. ``run_figure``) with a single
+    timed round.
 
     The interesting output is the experiment's rows (asserted by each
     bench); the timing records how long regenerating the figure takes.

@@ -5,14 +5,14 @@ and the compile-time heuristic's pick is "the best or one of the best"
 for each app.
 """
 
-from repro.harness.experiments import fig10_es_sensitivity
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table, percent
 from repro.workloads.suite import APPLICATIONS
 from benchmarks.conftest import run_once
 
 
 def test_fig10_es_sensitivity(benchmark, runner):
-    rows = run_once(benchmark, fig10_es_sensitivity, runner)
+    rows = run_once(benchmark, run_figure, "fig10", runner)
 
     by_app: dict[str, list] = {}
     for r in rows:

@@ -6,13 +6,13 @@ a successful acquire usually reduces" — the two adversarial effects the
 heuristic balances.
 """
 
-from repro.harness.experiments import fig11_occupancy_and_acquires
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table
 from benchmarks.conftest import run_once
 
 
 def test_fig11_occupancy_and_acquires(benchmark, runner):
-    rows = run_once(benchmark, fig11_occupancy_and_acquires, runner)
+    rows = run_once(benchmark, run_figure, "fig11", runner)
 
     by_app: dict[str, list] = {}
     for r in rows:

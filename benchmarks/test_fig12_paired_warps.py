@@ -7,13 +7,13 @@ lands between no-technique (+23%) and default RegMutex, trailing the
 default by ≈ 8 points.
 """
 
-from repro.harness.experiments import fig12_paired_warps
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table, percent
 from benchmarks.conftest import run_once
 
 
 def test_fig12a_paired_baseline(benchmark, runner):
-    rows = run_once(benchmark, fig12_paired_warps, runner, half_rf=False)
+    rows = run_once(benchmark, run_figure, "fig12a", runner)
 
     print("\n" + format_table(
         ["app", "paired reduction", "default reduction", "paired occupancy"],
@@ -45,7 +45,7 @@ def test_fig12a_paired_baseline(benchmark, runner):
 
 
 def test_fig12b_paired_half_rf(benchmark, runner):
-    rows = run_once(benchmark, fig12_paired_warps, runner, half_rf=True)
+    rows = run_once(benchmark, run_figure, "fig12b", runner)
 
     print("\n" + format_table(
         ["app", "paired increase", "default increase", "paired occupancy"],
@@ -65,7 +65,6 @@ def test_fig12b_paired_half_rf(benchmark, runner):
     assert avg_default <= avg_paired
     # But pairing still recovers a meaningful part of the bare slowdown:
     # compare against the no-technique increase from the Figure 8 data.
-    from repro.harness.experiments import fig8_half_register_file
-    bare = fig8_half_register_file(runner)
+    bare = run_figure("fig8", runner)
     avg_none = sum(r.increase_no_technique for r in bare) / len(bare)
     assert avg_paired < avg_none

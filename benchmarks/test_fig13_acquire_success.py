@@ -5,13 +5,13 @@ rate relative to the communal pool on contended apps (the left 8 apps
 run on the baseline architecture, the right 8 on the halved file).
 """
 
-from repro.harness.experiments import fig13_acquire_success
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table
 from benchmarks.conftest import run_once
 
 
 def test_fig13_acquire_success(benchmark, runner):
-    rows = run_once(benchmark, fig13_acquire_success, runner)
+    rows = run_once(benchmark, run_figure, "fig13", runner)
 
     print("\n" + format_table(
         ["app", "architecture", "success (default)", "success (paired)"],

@@ -6,13 +6,13 @@ muted despite the same occupancy boost (SRP-section contention), and
 occupancy never decreasing.
 """
 
-from repro.harness.experiments import fig7_occupancy_boost
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table, percent
 from benchmarks.conftest import run_once
 
 
 def test_fig7_occupancy_boost(benchmark, runner):
-    rows = run_once(benchmark, fig7_occupancy_boost, runner)
+    rows = run_once(benchmark, run_figure, "fig7", runner)
 
     print("\n" + format_table(
         ["app", "cycle reduction", "occupancy init", "occupancy RegMutex",

@@ -6,13 +6,13 @@ by ≈ 23% on the 64 KB file; with RegMutex the average increase drops to
 not raise occupancy, leaving only instruction overhead).
 """
 
-from repro.harness.experiments import fig8_half_register_file
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table, percent
 from benchmarks.conftest import run_once
 
 
 def test_fig8_half_register_file(benchmark, runner):
-    rows = run_once(benchmark, fig8_half_register_file, runner)
+    rows = run_once(benchmark, run_figure, "fig8", runner)
 
     print("\n" + format_table(
         ["app", "increase (no technique)", "increase (RegMutex)",

@@ -8,16 +8,13 @@ Half register file (9b): average increases 22.9% (nothing), 20.6% (OWF),
 5.9% (RFV), 10.8% (RegMutex).
 """
 
-from repro.harness.experiments import (
-    fig9a_comparison_baseline,
-    fig9b_comparison_half_rf,
-)
+from repro.harness.experiments import run_figure
 from repro.harness.reporting import format_table, percent
 from benchmarks.conftest import run_once
 
 
 def test_fig9a_comparison_baseline(benchmark, runner):
-    rows = run_once(benchmark, fig9a_comparison_baseline, runner)
+    rows = run_once(benchmark, run_figure, "fig9a", runner)
 
     print("\n" + format_table(
         ["app", "OWF", "RFV", "RegMutex"],
@@ -44,7 +41,7 @@ def test_fig9a_comparison_baseline(benchmark, runner):
 
 
 def test_fig9b_comparison_half_rf(benchmark, runner):
-    rows = run_once(benchmark, fig9b_comparison_half_rf, runner)
+    rows = run_once(benchmark, run_figure, "fig9b", runner)
 
     print("\n" + format_table(
         ["app", "no technique", "OWF", "RFV", "RegMutex"],

@@ -1,11 +1,11 @@
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
-Runs (or reads from the shared cache) every experiment driver and writes
-the comparison document the repository ships as EXPERIMENTS.md.  The
-whole figure suite's job set is first pushed through the orchestrator —
+Runs (or reads from the shared cache) every experiment and writes the
+comparison document the repository ships as EXPERIMENTS.md.  The whole
+figure suite goes through the orchestrator in one pass — jobs
 deduplicated across figures and simulated on ``REPRO_WORKERS`` processes
-(default: the machine's CPU count) — so the per-figure drivers below
-only assemble rows from cache.
+(default: the machine's CPU count) — and every figure section below is
+written from the rows that one pass returns.
 
 Run::
 
@@ -31,13 +31,13 @@ def pct(x: float) -> str:
 def main(out_path: str) -> None:
     r = ExperimentRunner(cache_path=os.path.abspath(_CACHE))
 
-    # Prewarm: one deduplicated parallel pass over every figure's jobs.
+    # One deduplicated parallel pass over every figure's jobs.
     from repro.harness.orchestrator import Orchestrator
     from repro.harness.reporting import format_telemetry
 
     workers = int(os.environ.get("REPRO_WORKERS", str(os.cpu_count() or 1)))
     orch = Orchestrator(r, workers=workers)
-    orch.run_specs([build() for build in E.FIGURE_SPECS.values()])
+    figures = orch.run_specs([build() for build in E.FIGURE_SPECS.values()])
     print(format_telemetry(orch.telemetry))
 
     lines: list[str] = []
@@ -90,7 +90,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figure 7 -----------------------------------------------------------------
-    rows = E.fig7_occupancy_boost(r)
+    rows = figures["fig7"]
     avg = sum(x.cycle_reduction for x in rows) / len(rows)
     best = max(rows, key=lambda x: x.cycle_reduction)
     w("## Figure 7 — occupancy boost on the baseline architecture")
@@ -110,7 +110,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figure 8 ---------------------------------------------------------------------
-    rows = E.fig8_half_register_file(r)
+    rows = figures["fig8"]
     n = len(rows)
     avg_none = sum(x.increase_no_technique for x in rows) / n
     avg_rm = sum(x.increase_regmutex for x in rows) / n
@@ -134,7 +134,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figure 9 -------------------------------------------------------------------------
-    rows_a = E.fig9a_comparison_baseline(r)
+    rows_a = figures["fig9a"]
     n = len(rows_a)
     owf = sum(x.reduction_owf for x in rows_a) / n
     rfv = sum(x.reduction_rfv for x in rows_a) / n
@@ -153,7 +153,7 @@ def main(out_path: str) -> None:
     w("(at >81x the storage, below).")
     w("")
 
-    rows_b = E.fig9b_comparison_half_rf(r)
+    rows_b = figures["fig9b"]
     n = len(rows_b)
     none = sum(x.increase_none for x in rows_b) / n
     owf_b = sum(x.increase_owf for x in rows_b) / n
@@ -175,7 +175,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figures 10/11 -------------------------------------------------------------
-    rows10 = E.fig10_es_sensitivity(r)
+    rows10 = figures["fig10"]
     by_app: dict[str, list] = {}
     for x in rows10:
         by_app.setdefault(x.app, []).append(x)
@@ -205,7 +205,7 @@ def main(out_path: str) -> None:
     w(f"top two of the sweep for {picks_ok}/8 apps.  Shape: REPRODUCED.")
     w("")
 
-    rows11 = E.fig11_occupancy_and_acquires(r)
+    rows11 = figures["fig11"]
     by_app = {}
     for x in rows11:
         by_app.setdefault(x.app, []).append(x)
@@ -229,7 +229,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figure 12 ------------------------------------------------------------
-    rows12a = E.fig12_paired_warps(r, half_rf=False)
+    rows12a = figures["fig12a"]
     n = len(rows12a)
     paired_a = sum(x.metric for x in rows12a) / n
     default_a = sum(x.metric_default for x in rows12a) / n
@@ -246,7 +246,7 @@ def main(out_path: str) -> None:
     w(f"vs default {pct(default_a)}.  Shape: REPRODUCED.")
     w("")
 
-    rows12b = E.fig12_paired_warps(r, half_rf=True)
+    rows12b = figures["fig12b"]
     n = len(rows12b)
     paired_b = sum(x.metric for x in rows12b) / n
     default_b = sum(x.metric_default for x in rows12b) / n
@@ -265,7 +265,7 @@ def main(out_path: str) -> None:
     w("")
 
     # ---- Figure 13 ---------------------------------------------------------------
-    rows13 = E.fig13_acquire_success(r)
+    rows13 = figures["fig13"]
     w("## Figure 13 — acquire success, default vs paired")
     w("")
     w("| app | architecture | default | paired |")

@@ -253,11 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: $GITHUB_SHA, then 'local')",
     )
     bench.add_argument(
-        "--timestamp", type=float, default=None, metavar="EPOCH",
-        help="UNIX timestamp recorded with --history (default: now); "
-             "CI passes the commit time so reruns stay attributable",
-    )
-    bench.add_argument(
         "--machine", default=None, metavar="NAME",
         help="machine label for --history/--gate (default: hostname); "
              "CI should pass a stable label — noise bands are "
@@ -274,20 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(median ± k·MAD of recent same-machine entries) instead "
              "of the fixed --fail-threshold, once enough history "
              "exists; falls back to --fail-threshold until then",
-    )
-    bench.add_argument(
-        "--gate-window", type=int, default=None, metavar="N",
-        help="history entries the noise band is fitted over "
-             "(default: 20)",
-    )
-    bench.add_argument(
-        "--gate-k", type=float, default=None, metavar="K",
-        help="band half-width in MADs (default: 4.0)",
-    )
-    bench.add_argument(
-        "--gate-min-entries", type=int, default=None, metavar="N",
-        help="minimum same-machine history entries before the gate is "
-             "conclusive (default: 5)",
     )
 
     dash = sub.add_parser(
@@ -571,7 +552,7 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
     else:
         names = list(E.FIGURE_SPECS)
     apps = _apps_arg(args)
-    specs = [_figure_spec(n, apps) for n in names]
+    specs = [E.figure_spec(n, apps) for n in names]
     orch = Orchestrator(
         runner, workers=args.workers,
         job_timeout=args.job_timeout, max_retries=args.retries,
@@ -611,17 +592,10 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
         from repro.dashboard.history import default_machine, load_history
 
         machine = args.machine or default_machine()
-        gate_kwargs = {}
-        if args.gate_window is not None:
-            gate_kwargs["window"] = args.gate_window
-        if args.gate_k is not None:
-            gate_kwargs["k"] = args.gate_k
-        if args.gate_min_entries is not None:
-            gate_kwargs["min_entries"] = args.gate_min_entries
         gate = evaluate_gate(
             current["totals"]["cycles_per_sec"],
             load_history(args.history),
-            label=args.label, machine=machine, **gate_kwargs,
+            label=args.label, machine=machine,
         )
         if gate.regressed:
             print(f"::error::{gate.message}")
@@ -683,7 +657,7 @@ def _cmd_bench(args, runner: ExperimentRunner) -> int:
 
         sha = args.commit or _os.environ.get("GITHUB_SHA") or "local"
         append_history(
-            args.history, current, sha=sha, timestamp=args.timestamp,
+            args.history, current, sha=sha,
             machine=args.machine, engine=args.engine,
         )
         print(f"(bench session appended to {args.history} @ {sha[:10]})")
@@ -738,11 +712,6 @@ def _cmd_dashboard(args) -> int:
     print(f"(dashboard written to {args.out}: {len(history)} history "
           f"entries, {len(artifacts)} artifacts)")
     return 0
-
-
-def _figure_spec(name: str, apps: tuple[str, ...] | None):
-    """Build one figure spec (thin alias of the shared resolver)."""
-    return E.figure_spec(name, apps)
 
 
 def _cmd_serve(args) -> int:
@@ -967,6 +936,55 @@ def _cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+# Simulated figures: name -> (table headers, row -> table cells).
+_FIGURE_TABLES = {
+    "fig7": (
+        ["app", "reduction", "occ init", "occ regmutex", "acq success"],
+        lambda r: [r.app, percent(r.cycle_reduction),
+                   f"{r.occupancy_init:.0%}", f"{r.occupancy_regmutex:.0%}",
+                   f"{r.acquire_success_rate:.0%}"],
+    ),
+    "fig8": (
+        ["app", "increase bare", "increase regmutex"],
+        lambda r: [r.app, percent(r.increase_no_technique),
+                   percent(r.increase_regmutex)],
+    ),
+    "fig9a": (
+        ["app", "OWF", "RFV", "RegMutex"],
+        lambda r: [r.app, percent(r.reduction_owf), percent(r.reduction_rfv),
+                   percent(r.reduction_regmutex)],
+    ),
+    "fig9b": (
+        ["app", "none", "OWF", "RFV", "RegMutex"],
+        lambda r: [r.app, percent(r.increase_none), percent(r.increase_owf),
+                   percent(r.increase_rfv), percent(r.increase_regmutex)],
+    ),
+    "fig10": (
+        ["app", "|Es|", "reduction", "heuristic pick"],
+        lambda r: [r.app, r.es, percent(r.cycle_reduction),
+                   r.is_heuristic_pick],
+    ),
+    "fig11": (
+        ["app", "|Es|", "occupancy", "acquire success"],
+        lambda r: [r.app, r.es, f"{r.theoretical_occupancy:.0%}",
+                   f"{r.acquire_success_rate:.0%}"],
+    ),
+    "fig12a": (
+        ["app", "paired reduction", "default reduction"],
+        lambda r: [r.app, percent(r.metric), percent(r.metric_default)],
+    ),
+    "fig12b": (
+        ["app", "paired increase", "default increase"],
+        lambda r: [r.app, percent(r.metric), percent(r.metric_default)],
+    ),
+    "fig13": (
+        ["app", "arch", "default", "paired"],
+        lambda r: [r.app, r.arch, f"{r.success_default:.0%}",
+                   f"{r.success_paired:.0%}"],
+    ),
+}
+
+
 def _cmd_experiment(name: str, args, runner: ExperimentRunner) -> int:
     apps = _apps_arg(args)
 
@@ -993,81 +1011,14 @@ def _cmd_experiment(name: str, args, runner: ExperimentRunner) -> int:
         ))
         return 0
 
-    kwargs = {"apps": apps} if apps else {}
-    extra = {}
-    if args.workers > 1:
-        extra["orchestrator"] = Orchestrator(
-            runner, workers=args.workers,
-            job_timeout=args.job_timeout, max_retries=args.retries,
-        )
-    kwargs.update(extra)
-    if name == "fig7":
-        rows = E.fig7_occupancy_boost(runner, **kwargs)
-        print(format_table(
-            ["app", "reduction", "occ init", "occ regmutex", "acq success"],
-            [[r.app, percent(r.cycle_reduction), f"{r.occupancy_init:.0%}",
-              f"{r.occupancy_regmutex:.0%}",
-              f"{r.acquire_success_rate:.0%}"] for r in rows],
-        ))
-    elif name == "fig8":
-        rows = E.fig8_half_register_file(runner, **kwargs)
-        print(format_table(
-            ["app", "increase bare", "increase regmutex"],
-            [[r.app, percent(r.increase_no_technique),
-              percent(r.increase_regmutex)] for r in rows],
-        ))
-    elif name == "fig9a":
-        rows = E.fig9a_comparison_baseline(runner, **kwargs)
-        print(format_table(
-            ["app", "OWF", "RFV", "RegMutex"],
-            [[r.app, percent(r.reduction_owf), percent(r.reduction_rfv),
-              percent(r.reduction_regmutex)] for r in rows],
-        ))
-    elif name == "fig9b":
-        rows = E.fig9b_comparison_half_rf(runner, **kwargs)
-        print(format_table(
-            ["app", "none", "OWF", "RFV", "RegMutex"],
-            [[r.app, percent(r.increase_none), percent(r.increase_owf),
-              percent(r.increase_rfv), percent(r.increase_regmutex)]
-             for r in rows],
-        ))
-    elif name == "fig10":
-        rows = E.fig10_es_sensitivity(runner, **kwargs)
-        print(format_table(
-            ["app", "|Es|", "reduction", "heuristic pick"],
-            [[r.app, r.es, percent(r.cycle_reduction), r.is_heuristic_pick]
-             for r in rows],
-        ))
-    elif name == "fig11":
-        rows = E.fig11_occupancy_and_acquires(runner, **kwargs)
-        print(format_table(
-            ["app", "|Es|", "occupancy", "acquire success"],
-            [[r.app, r.es, f"{r.theoretical_occupancy:.0%}",
-              f"{r.acquire_success_rate:.0%}"] for r in rows],
-        ))
-    elif name == "fig12a":
-        rows = E.fig12_paired_warps(runner, half_rf=False, **extra)
-        print(format_table(
-            ["app", "paired reduction", "default reduction"],
-            [[r.app, percent(r.metric), percent(r.metric_default)]
-             for r in rows],
-        ))
-    elif name == "fig12b":
-        rows = E.fig12_paired_warps(runner, half_rf=True, **extra)
-        print(format_table(
-            ["app", "paired increase", "default increase"],
-            [[r.app, percent(r.metric), percent(r.metric_default)]
-             for r in rows],
-        ))
-    elif name == "fig13":
-        rows = E.fig13_acquire_success(runner, **extra)
-        print(format_table(
-            ["app", "arch", "default", "paired"],
-            [[r.app, r.arch, f"{r.success_default:.0%}",
-              f"{r.success_paired:.0%}"] for r in rows],
-        ))
-    else:  # pragma: no cover - parser restricts choices
-        raise AssertionError(name)
+    orch = Orchestrator(
+        runner, workers=args.workers,
+        job_timeout=args.job_timeout, max_retries=args.retries,
+    )
+    spec = E.figure_spec(name, apps)
+    rows = orch.run_specs([spec])[spec.name]
+    headers, cells = _FIGURE_TABLES[name]
+    print(format_table(headers, [cells(r) for r in rows]))
     _maybe_csv(args, rows)
     return 0
 

@@ -3,9 +3,10 @@
 :mod:`repro.harness.runner` provides cached, tail-free kernel runs;
 :mod:`repro.harness.spec` declares experiments as (app, config,
 technique) job sets plus row builders; :mod:`repro.harness.experiments`
-declares every experiment of §IV that way;
-:mod:`repro.harness.orchestrator` deduplicates jobs across experiments
-and dispatches them to a process pool;
+declares every experiment of §IV that way (``run_figure`` runs one by
+name); :mod:`repro.harness.orchestrator` is the one executor of specs:
+it deduplicates jobs across experiments and runs them in-process or
+on a process pool;
 :mod:`repro.harness.telemetry` records per-job wall time, cache
 hit/miss counts, and worker utilization;
 :mod:`repro.harness.reporting` renders the same rows/series the paper
@@ -19,22 +20,15 @@ from repro.harness.spec import (
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.telemetry import JobTiming, SessionTelemetry
 from repro.harness.experiments import (
     FIGURE_SPECS,
+    figure_spec,
+    run_figure,
     fig1_liveness_traces,
     table1_workloads,
-    fig7_occupancy_boost,
-    fig8_half_register_file,
-    fig9a_comparison_baseline,
-    fig9b_comparison_half_rf,
-    fig10_es_sensitivity,
-    fig11_occupancy_and_acquires,
-    fig12_paired_warps,
-    fig13_acquire_success,
     storage_overhead_comparison,
 )
 from repro.harness.reporting import (
@@ -52,21 +46,14 @@ __all__ = [
     "JobResults",
     "JobFailure",
     "TechniqueSpec",
-    "run_experiment",
     "Orchestrator",
     "JobTiming",
     "SessionTelemetry",
     "FIGURE_SPECS",
+    "figure_spec",
+    "run_figure",
     "fig1_liveness_traces",
     "table1_workloads",
-    "fig7_occupancy_boost",
-    "fig8_half_register_file",
-    "fig9a_comparison_baseline",
-    "fig9b_comparison_half_rf",
-    "fig10_es_sensitivity",
-    "fig11_occupancy_and_acquires",
-    "fig12_paired_warps",
-    "fig13_acquire_success",
     "storage_overhead_comparison",
     "format_table",
     "format_percent_series",

@@ -3,10 +3,13 @@
 Every simulation-backed figure is declared as an
 :class:`~repro.harness.spec.ExperimentSpec` — the cross-product of
 (app, config, technique) jobs it needs plus a row builder — via a
-``figN_spec()`` factory.  The ``figN_*()`` driver functions keep their
-historical signatures as thin wrappers: they execute the spec serially
-through a runner, or through an :class:`Orchestrator` when one is
-passed (job dedup across figures, parallel dispatch, telemetry).
+``figN_spec()`` factory, registered by name in :data:`FIGURE_SPECS`.
+Specs run only through :meth:`Orchestrator.run_specs
+<repro.harness.orchestrator.Orchestrator.run_specs>`;
+:func:`run_figure` is the one-call form (one figure, in-process),
+and callers that need workers, timeouts or a non-default config build
+the spec and the :class:`~repro.harness.orchestrator.Orchestrator`
+themselves, as ``repro bench`` does.
 
 RegMutex runs force Table I's |Bs|/|Es| split (``spec.expected_es``) so
 every figure uses exactly the paper's configuration; Figure 10/11 sweep
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 
 from repro.arch.config import GTX480, GpuConfig
 from repro.compiler.es_selection import select_extended_set_size
-from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.orchestrator import Orchestrator
+from repro.harness.runner import ExperimentRunner
 from repro.harness.spec import (
     ExperimentSpec,
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.liveness.pressure import dynamic_pressure_trace
 from repro.regmutex.storage import (
@@ -60,13 +63,6 @@ def _job(app: str, config: GpuConfig, kind: str, **params) -> JobSpec:
 
 def _rm(app: str, config: GpuConfig, es: int) -> JobSpec:
     return _job(app, config, "regmutex", extended_set_size=es)
-
-
-def _run(spec: ExperimentSpec, runner, orchestrator) -> list:
-    """Execute one spec: orchestrated if an orchestrator is given."""
-    if orchestrator is not None:
-        return orchestrator.run_specs([spec])[spec.name]
-    return run_experiment(spec, runner)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +195,6 @@ def fig7_spec(
     return ExperimentSpec("fig7", jobs, build)
 
 
-def fig7_occupancy_boost(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig7Row]:
-    return _run(fig7_spec(apps, config), runner, orchestrator)
-
-
 # ---------------------------------------------------------------------------
 # Figure 8 — half register file resilience
 # ---------------------------------------------------------------------------
@@ -258,15 +245,6 @@ def fig8_spec(
     return ExperimentSpec("fig8", jobs, build)
 
 
-def fig8_half_register_file(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = REGISTER_RELAXED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig8Row]:
-    return _run(fig8_spec(apps, config), runner, orchestrator)
-
-
 # ---------------------------------------------------------------------------
 # Figure 9 — comparison with OWF and RFV
 # ---------------------------------------------------------------------------
@@ -313,15 +291,6 @@ def fig9a_spec(
     return ExperimentSpec("fig9a", jobs, build)
 
 
-def fig9a_comparison_baseline(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig9aRow]:
-    return _run(fig9a_spec(apps, config), runner, orchestrator)
-
-
 @dataclass(frozen=True)
 class Fig9bRow:
     """Per-technique increases on the half file (Figure 9b)."""
@@ -366,15 +335,6 @@ def fig9b_spec(
 
     jobs = tuple(j for entry in plan for j in entry[1:])
     return ExperimentSpec("fig9b", jobs, build)
-
-
-def fig9b_comparison_half_rf(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = REGISTER_RELAXED_APPS,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig9bRow]:
-    return _run(fig9b_spec(apps, config), runner, orchestrator)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +387,6 @@ def fig10_spec(
     return ExperimentSpec("fig10", jobs, build)
 
 
-def fig10_es_sensitivity(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    sweep: tuple[int, ...] = ES_SWEEP,
-    orchestrator=None,
-) -> list[Fig10Row]:
-    return _run(fig10_spec(apps, config, sweep), runner, orchestrator)
-
-
 @dataclass(frozen=True)
 class Fig11Row:
     app: str
@@ -482,16 +432,6 @@ def fig11_spec(
         rm for _, _, sweep_jobs in plan for _, rm in sweep_jobs
     )
     return ExperimentSpec("fig11", jobs, build)
-
-
-def fig11_occupancy_and_acquires(
-    runner: ExperimentRunner,
-    apps: tuple[str, ...] = OCCUPANCY_LIMITED_APPS,
-    config: GpuConfig = GTX480,
-    sweep: tuple[int, ...] = ES_SWEEP,
-    orchestrator=None,
-) -> list[Fig11Row]:
-    return _run(fig11_spec(apps, config, sweep), runner, orchestrator)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +491,6 @@ def fig12_spec(
     return ExperimentSpec("fig12b" if half_rf else "fig12a", jobs, build)
 
 
-def fig12_paired_warps(
-    runner: ExperimentRunner,
-    config: GpuConfig = GTX480,
-    half_rf: bool = False,
-    orchestrator=None,
-) -> list[Fig12Row]:
-    return _run(fig12_spec(config, half_rf), runner, orchestrator)
-
-
 # ---------------------------------------------------------------------------
 # Figure 13 — acquire success, default vs paired
 # ---------------------------------------------------------------------------
@@ -606,14 +537,6 @@ def fig13_spec(config: GpuConfig = GTX480) -> ExperimentSpec:
     return ExperimentSpec("fig13", jobs, build)
 
 
-def fig13_acquire_success(
-    runner: ExperimentRunner,
-    config: GpuConfig = GTX480,
-    orchestrator=None,
-) -> list[Fig13Row]:
-    return _run(fig13_spec(config), runner, orchestrator)
-
-
 # ---------------------------------------------------------------------------
 # §III-B / §IV-C — hardware storage overhead
 # ---------------------------------------------------------------------------
@@ -653,9 +576,10 @@ def figure_spec(
     """Build one figure spec by name, forwarding ``apps`` where the
     factory takes it (fig12*/fig13 have fixed app sets).
 
-    The one resolution path both the CLI (``repro bench``) and the
-    service daemon (named-experiment submissions) use; raises
-    ``KeyError`` listing the known names on a typo.
+    The one resolution path the CLI (``repro bench``, ``repro <figure>``),
+    :func:`run_figure` and the service daemon (named-experiment
+    submissions) use; raises ``KeyError`` listing the known names on a
+    typo.
     """
     import inspect
 
@@ -667,3 +591,12 @@ def figure_spec(
     if apps and "apps" in inspect.signature(factory).parameters:
         return factory(apps=tuple(apps))
     return factory()
+
+
+def run_figure(
+    name: str, runner: ExperimentRunner, apps: tuple[str, ...] | None = None
+) -> list:
+    """Run one named figure in-process through the runner's store and
+    return its rows."""
+    spec = figure_spec(name, apps)
+    return Orchestrator(runner).run_specs([spec])[spec.name]

@@ -111,6 +111,25 @@ def _record_checksum(fields: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _encode_entry(record: RunRecord) -> dict:
+    """A record as a checksummed run-store entry (cache file and journal)."""
+    fields = asdict(record)
+    return {"record": fields, "checksum": _record_checksum(fields)}
+
+
+def _decode_entry(entry, checked: bool = True) -> RunRecord:
+    """Validate a run-store entry back into a :class:`RunRecord`.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed
+    entry or a checksum mismatch; ``checked=False`` skips the checksum
+    for the legacy v1 layout, which has none.
+    """
+    fields = entry["record"]
+    if checked and entry.get("checksum") != _record_checksum(fields):
+        raise ValueError("checksum mismatch")
+    return RunRecord(**fields)
+
+
 @contextmanager
 def _file_lock(lock_path: str):
     """Advisory exclusive lock scoped to the ``with`` body.
@@ -274,10 +293,7 @@ class ExperimentRunner:
         bad: dict[str, object] = {}
         for key, entry in entries.items():
             try:
-                fields = entry["record"]
-                if checked and entry.get("checksum") != _record_checksum(fields):
-                    raise ValueError("checksum mismatch")
-                self._memo[key] = RunRecord(**fields)
+                self._memo[key] = _decode_entry(entry, checked)
             except (KeyError, TypeError, ValueError) as exc:
                 bad[key] = {"entry": entry, "reason": str(exc)}
         if bad:
@@ -294,11 +310,8 @@ class ExperimentRunner:
         """
         if not self._cache_path:
             return
-        fields = asdict(record)
         line = json.dumps(
-            {"key": key, "record": fields,
-             "checksum": _record_checksum(fields)},
-            separators=(",", ":"),
+            {"key": key, **_encode_entry(record)}, separators=(",", ":")
         ) + "\n"
         with _file_lock(self._lock_path):
             with open(self._journal_path, "a") as fh:
@@ -343,10 +356,7 @@ class ExperimentRunner:
                         continue
                     try:
                         entry = json.loads(stripped)
-                        fields = entry["record"]
-                        if entry.get("checksum") != _record_checksum(fields):
-                            raise ValueError("checksum mismatch")
-                        record = RunRecord(**fields)
+                        record = _decode_entry(entry)
                         key = entry["key"]
                     except (KeyError, TypeError, ValueError):
                         continue  # corrupt line: dropped at next flush
@@ -457,10 +467,7 @@ class ExperimentRunner:
                 ):
                     for key, entry in raw.get("entries", {}).items():
                         try:
-                            fields = entry["record"]
-                            if entry.get("checksum") != _record_checksum(fields):
-                                continue
-                            merged[key] = RunRecord(**fields)
+                            merged[key] = _decode_entry(entry)
                         except (KeyError, TypeError, ValueError):
                             continue
             except (OSError, json.JSONDecodeError, TypeError):
@@ -470,13 +477,7 @@ class ExperimentRunner:
             self._memo = merged
             payload = {
                 "__cache_format__": CACHE_FORMAT_VERSION,
-                "entries": {
-                    k: {
-                        "record": asdict(v),
-                        "checksum": _record_checksum(asdict(v)),
-                    }
-                    for k, v in merged.items()
-                },
+                "entries": {k: _encode_entry(v) for k, v in merged.items()},
             }
             tmp = f"{self._cache_path}.tmp.{os.getpid()}"
             with open(tmp, "w") as fh:

@@ -16,11 +16,9 @@ This module makes the job set first-class:
 * :class:`ExperimentSpec` — an ordered tuple of jobs plus a row builder
   that turns the finished :class:`JobResults` into the figure's rows.
 
-:func:`run_experiment` executes a spec serially through a runner (the
-memoized one-process path every driver wrapper uses);
-:class:`repro.harness.orchestrator.Orchestrator` executes many specs at
-once, deduplicating jobs across them and fanning out to worker
-processes.
+:meth:`repro.harness.orchestrator.Orchestrator.run_specs` is the one
+executor: it deduplicates jobs across specs, runs them in-process
+(``workers=1``) or on worker processes, and builds every spec's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Callable, Iterator, Mapping
 from repro.arch.config import GpuConfig
 from repro.baselines.owf import OwfTechnique, owf_priority
 from repro.baselines.rfv import RfvTechnique
-from repro.errors import FAILURE_RUNTIME, SimulationError
 from repro.faults.injector import FaultyWorkerTechnique, KillMidRunTechnique
 from repro.regmutex.issue_logic import RegMutexTechnique
 from repro.regmutex.paired import PairedWarpsTechnique
@@ -133,13 +130,6 @@ def materialize_job(job: JobSpec):
     return kernel, technique, job.technique.scheduler_priority()
 
 
-def execute_job(job: JobSpec, runner) -> "RunRecord":
-    """Run one job through a runner (memoized, in-process)."""
-    kernel, technique, priority = materialize_job(job)
-    return runner.run(kernel, job.config, technique,
-                      scheduler_priority=priority)
-
-
 class JobResults:
     """Finished outcomes, indexed by :class:`JobSpec`.
 
@@ -182,29 +172,3 @@ class ExperimentSpec:
     name: str
     jobs: tuple[JobSpec, ...]
     build_rows: Callable[[JobResults], list] = field(compare=False)
-
-    def unique_jobs(self) -> tuple[JobSpec, ...]:
-        seen: dict[JobSpec, None] = {}
-        for job in self.jobs:
-            seen.setdefault(job)
-        return tuple(seen)
-
-
-def run_experiment(spec: ExperimentSpec, runner) -> list:
-    """Execute a spec serially (declared job order) and build its rows.
-
-    Jobs run through ``runner.run`` so the runner's memo/disk cache is
-    shared with every other execution path; failures are captured per
-    job and surface when (and only when) the row builder touches them.
-    """
-    outcomes: dict[JobSpec, object] = {}
-    for job in spec.jobs:
-        if job in outcomes:
-            continue
-        try:
-            outcomes[job] = execute_job(job, runner)
-        except SimulationError as exc:
-            outcomes[job] = JobFailure(str(exc), kind=exc.kind)
-        except RuntimeError as exc:
-            outcomes[job] = JobFailure(str(exc), kind=FAILURE_RUNTIME)
-    return spec.build_rows(JobResults(outcomes))

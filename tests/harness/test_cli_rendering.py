@@ -1,8 +1,10 @@
-"""CLI figure-command rendering tests with stubbed experiment drivers.
+"""CLI figure-command rendering tests with stubbed figure specs.
 
-The real drivers are exercised by the benchmark suite; these tests pin
-the CLI's table rendering and argument plumbing for every figure
-subcommand without simulation.
+The real specs are run by the benchmark suite; these tests pin the
+CLI's table rendering and argument plumbing for every figure
+subcommand without simulation.  Each figure is stubbed in
+``FIGURE_SPECS`` by a job-less spec whose row builder returns canned
+rows, so a CLI path that bypasses ``figure_spec`` fails here.
 """
 
 from __future__ import annotations
@@ -14,42 +16,31 @@ from repro.harness.experiments import (
     Fig7Row, Fig8Row, Fig9aRow, Fig9bRow, Fig10Row, Fig11Row,
     Fig12Row, Fig13Row,
 )
+from repro.harness.spec import ExperimentSpec
+
+_CANNED = {
+    "fig7": [Fig7Row("BFS", 0.254, 0.75, 1.0, 1.0)],
+    "fig8": [Fig8Row("Gaussian", 0.22, -0.003, 0.83, 1.0)],
+    "fig9a": [Fig9aRow("BFS", 0.0, 0.25, 0.25)],
+    "fig9b": [Fig9bRow("SPMV", 0.19, 0.19, 0.0, 0.0)],
+    "fig10": [Fig10Row("BFS", 6, 0.254, True)],
+    "fig11": [Fig11Row("BFS", 6, 1.0, 1.0, True)],
+    "fig12a": [Fig12Row("SAD", 0.08, 0.67, 0.12)],
+    "fig12b": [Fig12Row("SAD", 0.08, 0.67, 0.12)],
+    "fig13": [Fig13Row("SAD", "baseline", 0.51, 0.85)],
+}
+
+
+def _stub_factory(name, canned):
+    return lambda: ExperimentSpec(name, (), lambda results: list(canned))
 
 
 @pytest.fixture(autouse=True)
-def stub_experiments(monkeypatch):
-    monkeypatch.setattr(
-        cli.E, "fig7_occupancy_boost",
-        lambda runner, **kw: [Fig7Row("BFS", 0.254, 0.75, 1.0, 1.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig8_half_register_file",
-        lambda runner, **kw: [Fig8Row("Gaussian", 0.22, -0.003, 0.83, 1.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig9a_comparison_baseline",
-        lambda runner, **kw: [Fig9aRow("BFS", 0.0, 0.25, 0.25)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig9b_comparison_half_rf",
-        lambda runner, **kw: [Fig9bRow("SPMV", 0.19, 0.19, 0.0, 0.0)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig10_es_sensitivity",
-        lambda runner, **kw: [Fig10Row("BFS", 6, 0.254, True)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig11_occupancy_and_acquires",
-        lambda runner, **kw: [Fig11Row("BFS", 6, 1.0, 1.0, True)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig12_paired_warps",
-        lambda runner, half_rf=False: [Fig12Row("SAD", 0.08, 0.67, 0.12)],
-    )
-    monkeypatch.setattr(
-        cli.E, "fig13_acquire_success",
-        lambda runner: [Fig13Row("SAD", "baseline", 0.51, 0.85)],
-    )
+def stub_figure_specs(monkeypatch):
+    for name, canned in _CANNED.items():
+        monkeypatch.setitem(
+            cli.E.FIGURE_SPECS, name, _stub_factory(name, canned)
+        )
 
 
 @pytest.mark.parametrize("command,needle", [

@@ -18,9 +18,7 @@ from repro.harness.spec import (
     JobFailure,
     JobSpec,
     TechniqueSpec,
-    execute_job,
     materialize_job,
-    run_experiment,
 )
 from repro.harness.telemetry import MODE_CACHED
 
@@ -72,14 +70,6 @@ class TestDeterminism:
                                 scheduler_priority=priority)
             assert outcomes[spec] == record
             assert isinstance(outcomes[spec], RunRecord)
-
-    def test_orchestrated_rows_match_plain_run_experiment(self):
-        spec = E.fig7_spec(("Gaussian",), CFG)
-        plain = run_experiment(spec, _runner())
-        orchestrated = Orchestrator(_runner(), workers=2).run_specs(
-            [spec]
-        )[spec.name]
-        assert plain == orchestrated
 
 
 class TestDedupAndTelemetry:
@@ -138,7 +128,8 @@ class TestCacheMerge:
         cache = str(tmp_path / "cache.json")
         ours = _runner(cache_path=cache)
         job = JobSpec("Gaussian", CFG, TechniqueSpec.of("baseline"))
-        record = execute_job(job, _runner(cache_path=cache))
+        kernel, technique, _ = materialize_job(job)
+        record = _runner(cache_path=cache).run(kernel, job.config, technique)
 
         def dispatched(*args):
             raise AssertionError("a journaled job was dispatched")

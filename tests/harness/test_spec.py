@@ -1,4 +1,4 @@
-"""Tests for the declarative spec layer (no simulation: stubbed runner)."""
+"""Tests for the declarative spec layer (no simulation)."""
 
 from __future__ import annotations
 
@@ -9,14 +9,15 @@ import pytest
 from repro.arch.config import GTX480, GpuConfig
 from repro.baselines.owf import OwfTechnique, owf_priority
 from repro.harness import experiments as E
-from repro.harness.runner import RunRecord
+from repro.harness import orchestrator
+from repro.harness.orchestrator import Orchestrator, ordered_unique_jobs
+from repro.harness.runner import ExperimentRunner, RunRecord
 from repro.harness.spec import (
     ExperimentSpec,
     JobFailure,
     JobResults,
     JobSpec,
     TechniqueSpec,
-    run_experiment,
 )
 from repro.regmutex.issue_logic import RegMutexTechnique
 
@@ -100,17 +101,18 @@ class TestJobResults:
         assert results.error(job) is None
 
 
-class RecordingRunner:
-    """Returns canned records; logs (kernel, config, technique) calls."""
+def _recording_simulate(calls):
+    """Stand-in for the orchestrator's ``_simulate``: logs each job's
+    technique and returns a canned record (regmutex 12% faster)."""
 
-    def __init__(self):
-        self.calls = []
+    def simulate(job, seed, target_ctas_per_sm, *checkpoint):
+        name = job.technique.kind
+        calls.append(name)
+        record = _record(job.app, job.config.name, name,
+                         cycles=880 if name == "regmutex" else 1000)
+        return record, None, 0.0, None
 
-    def run(self, kernel, config, technique=None, scheduler_priority=None):
-        name = technique.name if technique else "baseline"
-        self.calls.append((kernel.name, config.name, name))
-        return _record(kernel.name, config.name, name,
-                       cycles=880 if name == "regmutex" else 1000)
+    return simulate
 
 
 class TestExperimentSpec:
@@ -119,22 +121,31 @@ class TestExperimentSpec:
         rm = JobSpec("BFS", GTX480, TechniqueSpec.of(
             "regmutex", extended_set_size=6
         ))
-        spec = ExperimentSpec("x", (base, rm, base), lambda r: [])
-        assert spec.unique_jobs() == (base, rm)
+        sad = JobSpec("SAD", GTX480, TechniqueSpec.of("baseline"))
+        spec = ExperimentSpec("x", (rm, base, rm, sad, base), lambda r: [])
+        assert ordered_unique_jobs(spec.jobs) == (rm, base, sad)
+        assert ordered_unique_jobs(iter([base, base])) == (base,)
+        assert ordered_unique_jobs([]) == ()
 
-    def test_run_experiment_executes_in_declared_order(self):
-        runner = RecordingRunner()
-        rows = run_experiment(E.fig7_spec(apps=("BFS",)), runner)
-        assert [c[2] for c in runner.calls] == ["baseline", "regmutex"]
+    def test_run_experiment_executes_in_declared_order(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orchestrator, "_simulate",
+                            _recording_simulate(calls))
+        spec = E.fig7_spec(apps=("BFS",))
+        rows = Orchestrator(ExperimentRunner()).run_specs([spec])[spec.name]
+        assert calls == ["baseline", "regmutex"]
         (row,) = rows
         assert row.cycle_reduction == pytest.approx(0.12)
 
-    def test_run_experiment_skips_repeated_jobs(self):
+    def test_run_experiment_skips_repeated_jobs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orchestrator, "_simulate",
+                            _recording_simulate(calls))
         base = JobSpec("BFS", GTX480, TechniqueSpec.of("baseline"))
         spec = ExperimentSpec("x", (base, base), lambda r: len(r))
-        runner = RecordingRunner()
-        assert run_experiment(spec, runner) == 1
-        assert len(runner.calls) == 1
+        orch = Orchestrator(ExperimentRunner())
+        assert orch.run_specs([spec]) == {"x": 1}
+        assert calls == ["baseline"]
 
 
 class TestFigureSpecRegistry:
