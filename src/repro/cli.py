@@ -850,6 +850,8 @@ def _cmd_status(args) -> int:
              f"/{stats.get('dedup_batch')}"],
             ["timeouts", stats.get("timeouts")],
             ["pool restarts", stats.get("pool_restarts")],
+            ["jobs (listed/total)",
+             f"{len(status.get('jobs', []))}/{status.get('jobs_total')}"],
         ],
     ))
     jobs = status.get("jobs", [])

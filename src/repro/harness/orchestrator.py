@@ -6,7 +6,8 @@ the :class:`ExperimentRunner`:
 1. **Deduplicate.**  The figure suite re-requests many jobs (every
    figure needs its apps' baselines); the union of all specs' jobs is
    collected once, in first-declared order.
-2. **Dispatch.**  Jobs missing from the run store are simulated —
+2. **Dispatch.**  Jobs missing from the run store (looked up by the
+   runner's memoized :meth:`ExperimentRunner.job_key`) are simulated —
    in-process when ``workers=1``, otherwise through a
    :class:`JobExecutor` (the execution core the service daemon shares)
    over one ``ProcessPoolExecutor`` per batch.  Each (kernel, config,
@@ -553,8 +554,7 @@ class Orchestrator:
         outcomes: dict[JobSpec, object] = {}
         pending: list[tuple[JobSpec, str]] = []
         for job in ordered:
-            kernel, technique, _ = materialize_job(job)
-            key = self.runner.key_for(kernel, job.config, technique)
+            key = self.runner.job_key(job)
             record = self.runner.lookup(key)
             if record is not None:
                 self.runner.cache_hits += 1

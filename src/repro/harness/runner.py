@@ -44,6 +44,8 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 from repro.arch.config import GpuConfig
+from repro.harness import spec
+from repro.harness.spec import JobSpec
 from repro.isa.kernel import Kernel
 from repro.isa.printer import format_kernel
 from repro.sim.gpu import Gpu
@@ -229,6 +231,7 @@ class ExperimentRunner:
         self.cache_hits = 0
         self.cache_misses = 0
         self._memo: dict[str, RunRecord] = {}
+        self._job_keys: dict[JobSpec, str] = {}
         self._dirty = False
         self._cache_path = cache_path
         self.quarantined_entries = 0
@@ -416,6 +419,29 @@ class ExperimentRunner:
     ) -> str:
         """Public cache key (the orchestrator's dedup/install handle)."""
         return self._key(kernel, config, technique)
+
+    def job_key(self, job: JobSpec) -> str:
+        """The cache key of a declarative job, resolved once per runner.
+
+        The first call builds the job's kernel and technique and hashes
+        them through :meth:`key_for`; later calls return the stored
+        string, so a run-store hit or an in-flight attach costs two dict
+        lookups instead of a kernel build and a hash of its text.  Only
+        the string is kept: kernels and techniques are mutable and are
+        rebuilt wherever a job actually runs.
+
+        A key depends on the frozen :class:`JobSpec` plus this runner's
+        ``seed`` and ``target_ctas_per_sm``, which are fixed at
+        construction and never reassigned, so the memo needs no
+        composite key and never goes stale.  It grows with the number
+        of distinct jobs the runner has seen.
+        """
+        key = self._job_keys.get(job)
+        if key is None:
+            kernel, technique, _ = spec.materialize_job(job)
+            key = self.key_for(kernel, job.config, technique)
+            self._job_keys[job] = key
+        return key
 
     def cached(self, key: str) -> Optional[RunRecord]:
         """The memoized record for ``key``, if any (no hit accounting)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import Iterable
 
 from repro.observe.bus import EventLog
 from repro.observe.events import (
@@ -43,6 +44,7 @@ from repro.observe.events import (
     SECTION_RELEASE,
     WARP_FINISH,
     WATCHDOG,
+    SimEvent,
 )
 from repro.observe.probes import ProbeSeries
 
@@ -238,7 +240,7 @@ def _counter_track_events(samples: ProbeSeries, sm_id: int) -> list[dict]:
     return out
 
 
-def job_trace_events(log: EventLog, pid: int = 0) -> list[dict]:
+def job_trace_events(log: Iterable[SimEvent], pid: int = 0) -> list[dict]:
     """Convert service job-lifecycle events into Chrome trace events.
 
     One thread per daemon job (``tid`` = job id), a ``running`` span

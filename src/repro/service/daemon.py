@@ -15,7 +15,10 @@ Deduplication is layered, cheapest first:
 2. **Run store** — a content-addressed fingerprint hit in the shared
    journaled cache answers instantly with zero simulation cycles
    (including results journaled by concurrent *processes*, which are
-   adopted via journal replay before declaring a miss).
+   adopted via journal replay before declaring a miss).  A job seen
+   before is keyed from the runner's key memo
+   (:meth:`~repro.harness.runner.ExperimentRunner.job_key`), so its
+   kernel is not rebuilt just to find its fingerprint.
 3. **In-flight singleflight** — a submission whose key is already
    computing attaches to the running computation; both clients stream
    the same job id and receive the same record when it lands.
@@ -47,8 +50,9 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import (
     FAILURE_TIMEOUT,
@@ -61,11 +65,14 @@ from repro.errors import (
 from repro.harness.experiments import figure_spec
 from repro.harness.orchestrator import JobExecutor, ordered_unique_jobs
 # perfbench's layer tracer patches `_simulate` and `materialize_job` on
-# this module by name, so both stay importable from here; the executor
-# itself resolves `orchestrator._simulate` per job.
+# this module by name, so both stay importable from here even though
+# nothing in this module calls them: the executor resolves
+# `orchestrator._simulate` per job, and `submit` keys jobs through
+# `ExperimentRunner.job_key`, which builds only on a memo miss.
 from repro.harness.orchestrator import _simulate  # noqa: F401
 from repro.harness.runner import ExperimentRunner
-from repro.harness.spec import JobFailure, JobSpec, materialize_job
+from repro.harness.spec import JobFailure, JobSpec
+from repro.harness.spec import materialize_job  # noqa: F401
 from repro.harness.telemetry import (
     MODE_CACHED,
     MODE_POOL,
@@ -96,6 +103,12 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 TERMINAL = (DONE, FAILED)
+
+# Finished jobs (and their timings) the ``status`` and ``trace`` frames
+# cover, newest last, next to every job still queued or running.
+# Covering every job ever submitted would outgrow MAX_FRAME_BYTES after
+# a few thousand store hits; ``jobs_total`` still counts them all.
+STATUS_RECENT_JOBS = 200
 
 
 @dataclass
@@ -169,7 +182,7 @@ class SimulationService:
         }
         self._executor: JobExecutor | None = None
         self._inflight: dict[str, JobState] = {}
-        self._jobs: dict[int, JobState] = {}
+        self._recent: deque[JobState] = deque(maxlen=STATUS_RECENT_JOBS)
         self._next_job_id = 1
         self._next_sub_id = 1
         self._subscribers: dict[int, asyncio.Queue] = {}
@@ -273,10 +286,6 @@ class SimulationService:
             self.runner.flush()
 
     # -- submission intake ----------------------------------------------------
-    def _key_for(self, job: JobSpec) -> str:
-        kernel, technique, _ = materialize_job(job)
-        return self.runner.key_for(kernel, job.config, technique)
-
     def submit(
         self, jobs: list[JobSpec], timeout: float | None = None
     ) -> list[tuple[JobState, str | None]]:
@@ -309,7 +318,7 @@ class SimulationService:
         plan: list[tuple[JobSpec, str, str | None, object]] = []
         fresh = 0
         for job in unique:
-            key = self._key_for(job)
+            key = self.runner.job_key(job)
             if key in self._inflight:
                 plan.append((job, key, "inflight", None))
                 continue
@@ -361,7 +370,6 @@ class SimulationService:
             job_id=self._next_job_id, key=key, job=job, timeout=timeout
         )
         self._next_job_id += 1
-        self._jobs[state.job_id] = state
         return state
 
     # -- execution ------------------------------------------------------------
@@ -408,6 +416,7 @@ class SimulationService:
         publish its frame."""
         state.timing = timing
         self.telemetry.timings.append(timing)
+        self._recent.append(state)
         frame_extra: dict = {"timing": timing.to_dict()}
         if isinstance(result, JobFailure):
             state.failure, state.status = result, FAILED
@@ -554,9 +563,11 @@ class SimulationService:
         elif op == "trace":
             from repro.observe.export import job_trace_events
 
+            shown = {s.job_id for s in self._listed_jobs()}
+            events = [e for e in self.log if e.value in shown]
             writer.write(encode_frame({
                 "ok": True,
-                "trace": {"traceEvents": job_trace_events(self.log),
+                "trace": {"traceEvents": job_trace_events(events),
                           "displayTimeUnit": "ms"},
             }))
             await writer.drain()
@@ -565,7 +576,21 @@ class SimulationService:
         else:
             raise ServiceProtocolError(f"unknown operation {op!r}")
 
+    def _listed_jobs(self) -> list[JobState]:
+        """Every job still queued or running plus the last
+        :data:`STATUS_RECENT_JOBS` finished ones, by job id: the jobs
+        ``status`` and ``trace`` report, so both frames stay under
+        MAX_FRAME_BYTES however long the daemon runs."""
+        active = [s for s in self._inflight.values()
+                  if s.status not in TERMINAL]
+        return sorted(active + list(self._recent), key=lambda s: s.job_id)
+
     def _status_frame(self) -> dict:
+        """Stats plus the listed jobs and their telemetry timings."""
+        telemetry = replace(
+            self.telemetry,
+            timings=self.telemetry.timings[-STATUS_RECENT_JOBS:],
+        )
         return {
             "ok": True,
             "draining": self._draining,
@@ -574,6 +599,7 @@ class SimulationService:
             "max_queue": self.config.max_queue,
             "workers": self.config.workers,
             "stats": dict(self.stats),
+            "jobs_total": self._next_job_id - 1,
             "jobs": [
                 {
                     "job_id": s.job_id,
@@ -582,9 +608,9 @@ class SimulationService:
                     "dedup": s.dedup,
                     "attached": s.attach_count,
                 }
-                for s in self._jobs.values()
+                for s in self._listed_jobs()
             ],
-            "telemetry": self.telemetry.to_dict(),
+            "telemetry": telemetry.to_dict(),
         }
 
     async def _op_submit(self, frame: dict, writer) -> None:

@@ -98,6 +98,24 @@ class TestDedupAndTelemetry:
         assert again.telemetry.cache_hits == unique
         assert again.telemetry.cache_misses == 0
 
+    def test_repeated_run_jobs_builds_no_kernel(self, monkeypatch):
+        """A second ``run_jobs`` over the same jobs on the same runner
+        keys them from the runner's memo: no parent-side kernel build."""
+        from repro.harness import spec
+
+        builds = []
+        real = spec.build_app_kernel
+        monkeypatch.setattr(spec, "build_app_kernel",
+                            lambda app: builds.append(app) or real(app))
+        jobs = [job for s in _specs() for job in s.jobs]
+        orch = Orchestrator(_runner(), workers=1)
+        orch.run_jobs(jobs)
+        built = len(builds)
+        assert built > 0
+        outcomes = orch.run_jobs(jobs)
+        assert all(isinstance(r, RunRecord) for r in outcomes.values())
+        assert len(builds) == built
+
     def test_slowest_ranks_by_duration(self):
         orch = Orchestrator(_runner(), workers=1)
         orch.run_specs([E.fig7_spec(("Gaussian",), CFG)])

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.arch.config import fermi_like
+from repro.harness.experiments import FIGURE_SPECS, figure_spec
+from repro.harness.orchestrator import ordered_unique_jobs
 from repro.harness.runner import ExperimentRunner, RunRecord
+from repro.harness.spec import materialize_job
 from repro.sim.technique import BaselineTechnique
 from tests.conftest import looped_kernel, straightline_kernel
 
@@ -163,6 +166,31 @@ class TestCacheKeyStability:
         runner.run(straightline_kernel(), cfg, BaselineTechnique())
         assert runner.cache_misses == 1
         assert runner.cache_hits == 1
+
+
+class TestJobKeyMemo:
+    """``job_key`` memoizes ``key_for`` per job; it must never drift
+    from a key computed from a freshly materialized job."""
+
+    def test_memo_matches_fresh_key_for_every_figure_job(self):
+        runner = ExperimentRunner()
+        jobs = ordered_unique_jobs(
+            job for name in FIGURE_SPECS for job in figure_spec(name).jobs
+        )
+        assert jobs
+        for job in jobs:
+            kernel, technique, _ = materialize_job(job)
+            fresh = runner.key_for(kernel, job.config, technique)
+            assert runner.job_key(job) == fresh, job.label   # miss
+            assert runner.job_key(job) == fresh, job.label   # hit
+
+    def test_seed_and_target_are_in_the_key(self):
+        job = figure_spec("fig7").jobs[0]
+        base = ExperimentRunner(seed=1, target_ctas_per_sm=4).job_key(job)
+        assert ExperimentRunner(seed=2, target_ctas_per_sm=4).job_key(
+            job) != base
+        assert ExperimentRunner(seed=1, target_ctas_per_sm=8).job_key(
+            job) != base
 
 
 class TestCacheKeyHygiene:

@@ -20,9 +20,11 @@ import socket
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.arch.config import fermi_like
 from repro.harness.spec import JobSpec, TechniqueSpec
+from repro.service.daemon import SimulationService
 
 # Same shape as the orchestrator tests: small enough that Gaussian
 # simulates in about a second, big enough for multi-SM + memory system.
@@ -47,6 +49,15 @@ def make_job(app: str = "Gaussian", technique: TechniqueSpec | None = None,
              config=SVC_CFG) -> JobSpec:
     return JobSpec(app=app, config=config,
                    technique=technique or TechniqueSpec("baseline"))
+
+
+class ThreadPoolService(SimulationService):
+    """The daemon with its process pool swapped for one thread, so every
+    layer call of a job happens in the test process (the swap the
+    benchmark's traced service run makes)."""
+
+    def _new_pool(self):
+        return ThreadPoolExecutor(max_workers=1)
 
 
 def sleeper_job(delay_seconds: float = 1.0) -> JobSpec:

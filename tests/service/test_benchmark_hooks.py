@@ -16,15 +16,14 @@ import asyncio
 import importlib.util
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.harness import orchestrator
 from repro.harness.orchestrator import Orchestrator
 from repro.harness.runner import RunRecord
 from repro.service import daemon
-from repro.service.daemon import DONE, ServiceConfig, SimulationService
+from repro.service.daemon import DONE, ServiceConfig
 
-from tests.service.conftest import make_job
+from tests.service.conftest import ThreadPoolService, make_job
 
 TRACING_PY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -48,11 +47,6 @@ def _hooks():
             Orchestrator.__dict__["run_jobs"])
 
 
-class _ThreadPoolService(SimulationService):
-    def _new_pool(self):
-        return ThreadPoolExecutor(max_workers=1)
-
-
 def test_layer_spans_install_uninstall_and_trace_a_daemon_job(tmp_path):
     tracing = _tracing_module()
     before = _hooks()
@@ -63,7 +57,7 @@ def test_layer_spans_install_uninstall_and_trace_a_daemon_job(tmp_path):
     )
 
     async def main():
-        service = _ThreadPoolService(config)
+        service = ThreadPoolService(config)
         await service.start()     # the executor exists before the patch
         try:
             with tracer:

@@ -17,15 +17,19 @@ import warnings
 
 import pytest
 
+from repro import cli
 from repro.errors import (
     ServiceQueueFullError,
     ServiceSpecError,
     ServiceUnavailableError,
 )
+from repro.harness import experiments as E
+from repro.harness import spec
 from repro.harness.runner import RunRecord
 from repro.harness.spec import TechniqueSpec
 from repro.observe import JOB_DONE, JOB_QUEUED, JOB_RUNNING, job_trace_events
 from repro.service import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ServiceClient,
     ServiceConfig,
@@ -33,9 +37,14 @@ from repro.service import (
     encode_frame,
     record_from_wire,
 )
-from repro.service.daemon import DONE, FAILED
+from repro.service.daemon import DONE, FAILED, STATUS_RECENT_JOBS
 
-from tests.service.conftest import make_job, sleeper_job
+from tests.service.conftest import (
+    SVC_CFG,
+    ThreadPoolService,
+    make_job,
+    sleeper_job,
+)
 
 
 def svc_config(tmp_path, **overrides) -> ServiceConfig:
@@ -52,10 +61,11 @@ def svc_config(tmp_path, **overrides) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
-def drive(config: ServiceConfig, body, servers: bool = False):
+def drive(config: ServiceConfig, body, servers: bool = False,
+          service_cls=SimulationService):
     """Run ``body(service)`` against a started service, then close it."""
     async def main():
-        service = SimulationService(config)
+        service = service_cls(config)
         await service.start()
         if servers:
             await service.start_servers()
@@ -108,6 +118,27 @@ class TestDedupLayers:
             assert service.stats["dedup_inflight"] == 1
 
         drive(svc_config(tmp_path), body)
+
+    def test_store_hit_builds_no_kernel(self, tmp_path, monkeypatch):
+        """A resubmitted figure is classified from the runner's key
+        memo: the store hits rebuild none of its kernels."""
+        builds = []
+        real = spec.build_app_kernel
+        monkeypatch.setattr(spec, "build_app_kernel",
+                            lambda app: builds.append(app) or real(app))
+        jobs = list(E.fig7_spec(("Gaussian",), SVC_CFG).jobs)
+
+        async def body(service):
+            first = service.submit(jobs)
+            await asyncio.gather(*(state.task for state, _ in first))
+            assert all(state.status == DONE for state, _ in first)
+            built = len(builds)
+            assert built > 0
+            again = service.submit(jobs)
+            assert [dedup for _, dedup in again] == ["store"] * len(jobs)
+            assert len(builds) == built
+
+        drive(svc_config(tmp_path), body, service_cls=ThreadPoolService)
 
 
 class TestBackpressureAndDrain:
@@ -212,6 +243,55 @@ class TestObserveWiring:
             assert any(t["ph"] == "i" for t in trace)   # queued instant
 
         drive(svc_config(tmp_path), body)
+
+
+class TestStatusFrame:
+    def test_frame_stays_bounded_after_thousands_of_store_hits(
+        self, tmp_path, capsys
+    ):
+        """The job table, timings and trace of a long-lived daemon are
+        capped to the same recent jobs, so ``status`` and ``trace``
+        frames stay under MAX_FRAME_BYTES and ``repro status --trace``
+        keeps rendering them."""
+        hits = 4000
+        trace_path = tmp_path / "jobs.trace.json"
+
+        async def body(service):
+            (state, _), = service.submit([make_job()])
+            await state.task
+            for _ in range(hits):
+                service.submit([make_job()])
+            (sleeper, _), = service.submit([sleeper_job(0.5)])
+
+            frame = service._status_frame()
+            assert len(encode_frame(frame)) < MAX_FRAME_BYTES
+            assert frame["stats"]["dedup_store"] == hits
+            assert frame["jobs_total"] == hits + 2
+            listed = [j["job_id"] for j in frame["jobs"]]
+            assert len(listed) == STATUS_RECENT_JOBS + 1
+            assert listed == sorted(listed)
+            # The newest finished jobs, then the one still in flight.
+            assert listed[-2:] == [hits + 1, sleeper.job_id]
+            assert frame["jobs"][-1]["status"] != DONE
+            timings = frame["telemetry"]["timings"]
+            assert len(timings) == STATUS_RECENT_JOBS
+
+            code = await asyncio.to_thread(
+                cli.main, ["status", "--socket", service.config.socket_path,
+                           "--trace", str(trace_path)]
+            )
+            assert code == 0
+            await sleeper.task
+
+        drive(svc_config(tmp_path), body, servers=True)
+        out = capsys.readouterr().out
+        assert f"{STATUS_RECENT_JOBS + 1}/{hits + 2}" in out
+        trace = json.loads(trace_path.read_text())
+        jobs = {e["tid"] for e in trace["traceEvents"] if e["tid"]}
+        # The sleeper may finish between the two requests, pushing the
+        # oldest listed job out of the window.
+        assert hits + 2 in jobs and hits + 1 in jobs
+        assert len(jobs) <= STATUS_RECENT_JOBS + 1
 
 
 class TestConcurrentClients:
